@@ -1,37 +1,54 @@
 """The SEA Expansion operation (paper Appendix A), shared by SEACD and SEA.
 
-Given (x, p) at (approximately) a local KKT point with value
-``f = x' D x``, the candidate set is ``Z = {i : (Dx)_i > f}`` among
-vertices outside the support (gradient convention: the appendix's
-``grad_i f - f`` equals ``(Dx)_i - f`` up to the shared factor of 2).
-The update moves along ``b_i = -x_i s (i in S)``, ``b_i = gamma_i (i in Z)``
-with the analytically optimal step
-``tau* = zeta / a`` clipped to ``1/s`` where ``a = f s^2 + 2 s zeta - omega``
-(the paper's ``-1/a`` is a typo; maximizing ``2 zeta tau - a tau^2`` gives
-``zeta / a``). The result stays on the simplex by construction.
+Given (x, p) at (approximately) a local KKT point, the candidate set is
+``Z = {i : (Dx)_i > level}`` among vertices outside the support, and the
+update moves along ``b_i = -x_i s (i in S)``, ``b_i = gamma_i (i in Z)``
+with ``gamma_i = (Dx)_i - level`` and the analytically optimal step
+``tau* = zeta / a`` clipped to ``1/s`` where
+``a = level s^2 + 2 s zeta - omega`` (the paper's ``-1/a`` is a typo;
+maximizing ``2 zeta tau - a tau^2`` gives ``zeta / a``). The result stays
+on the simplex by construction.
+
+``level`` is the value lambda/2 the formulas assume every supported
+gradient equals. SEACD uses the default, the exact ``f = x' D x``
+(the appendix's ``grad_i f - f`` equals ``(Dx)_i - f`` up to the shared
+factor of 2). The original SEA passes lambda/2 estimated from the
+support gradients; that estimate is exact only at a true local KKT point.
 """
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
-from .cd import EPS, objective
+from .cd import apply_delta, objective
 
 
 def expansion_candidates(g: LocalGraph, x: dict, p: dict,
-                         tol: float = 1e-9) -> list:
-    """Z = vertices outside the support with (Dx)_i > f(x) (+tol)."""
-    f = objective(x, p)
+                         tol: float = 1e-9, level: float | None = None
+                         ) -> list:
+    """Z = vertices outside the support with (Dx)_i > level (+tol).
+
+    ``level`` defaults to the exact objective f(x).
+    """
+    if level is None:
+        level = objective(x, p)
     return [
         i
         for i, pi in p.items()
-        if pi > f + tol and x.get(i, 0.0) <= 0.0
+        if pi > level + tol and x.get(i, 0.0) <= 0.0
     ]
 
 
-def expand(g: LocalGraph, x: dict, p: dict, Z: list) -> None:
-    """Apply one SEA Expansion step in place; Z must be non-empty."""
-    f = objective(x, p)
-    gamma = {i: p.get(i, 0.0) - f for i in Z}
+def expand(g: LocalGraph, x: dict, p: dict, Z: list,
+           level: float | None = None) -> None:
+    """Apply one SEA Expansion step in place; no-op unless sum(gamma) > 0.
+
+    ``level`` defaults to the exact objective f(x).
+    """
+    if level is None:
+        level = objective(x, p)
+    gamma = {i: p.get(i, 0.0) - level for i in Z}
     s = sum(gamma.values())
+    if s <= 0.0:
+        return
     zeta = sum(v * v for v in gamma.values())
     omega = 0.0
     zset = set(Z)
@@ -40,7 +57,7 @@ def expand(g: LocalGraph, x: dict, p: dict, Z: list) -> None:
         for j, w in g.adj[i].items():
             if j in zset:
                 omega += gi * gamma[j] * w
-    a = f * s * s + 2.0 * s * zeta - omega
+    a = level * s * s + 2.0 * s * zeta - omega
     if a <= 0.0:
         tau = 1.0 / s
     else:
@@ -53,10 +70,4 @@ def expand(g: LocalGraph, x: dict, p: dict, Z: list) -> None:
     for i in Z:
         deltas[i] = deltas.get(i, 0.0) + tau * gamma[i]
     for u, d in deltas.items():
-        if d == 0.0:
-            continue
-        x[u] = x.get(u, 0.0) + d
-        if x[u] < EPS:
-            x.pop(u, None)
-        for j, w in g.adj[u].items():
-            p[j] = p.get(j, 0.0) + d * w
+        apply_delta(g, x, p, u, d)

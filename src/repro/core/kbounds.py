@@ -2,19 +2,66 @@
 
 ``mu_u = tau_u * w_u / (tau_u + 1)`` upper-bounds the affinity of any
 positive-clique embedding whose support contains ``u`` (Theorem 6 with
-``k_u <= tau_u + 1``, ``tau_u`` = core number in G_D+). The Spark path
-computes ``tau_u`` with the distributed h-index iteration and ``w_u``
-with the ego-net max-weight job; the local path is the exact driver
-fallback used by unit tests and small runs.
+``k_u <= tau_u + 1``). Both terms are computed exactly on the driver's
+``G_D+``:
+
+* ``tau_u`` — the core number of ``u``, by bucket peeling;
+* ``w_u`` — the max weight over edges with at least one endpoint in the
+  closed ego net ``T_u = {u} ∪ N(u)``, i.e. ``max(m_u, max_{v in N(u)} m_v)``
+  with ``m_v`` the max incident weight of ``v``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from ..graph.egonet import egonet_max_weight, egonet_max_weight_local
-from ..graph.kcore import core_numbers_exact, core_numbers_spark
 from ..graph.local import LocalGraph
+
+
+def core_numbers_exact(g: LocalGraph) -> dict:
+    """Exact core numbers by bucket peeling; {internal index: core}."""
+    deg = {i: len(g.adj[i]) for i in range(g.n) if g.adj[i]}
+    if not deg:
+        return {}
+    max_deg = max(deg.values())
+    buckets: list = [set() for _ in range(max_deg + 1)]
+    for v, d in deg.items():
+        buckets[d].add(v)
+    core: dict = {}
+    cur = dict(deg)
+    k = 0
+    removed = set()
+    for d in range(max_deg + 1):
+        while buckets[d]:
+            v = buckets[d].pop()
+            if v in removed:
+                continue
+            k = max(k, cur[v])
+            core[v] = k
+            removed.add(v)
+            for u in g.adj[v]:
+                if u in removed or u not in cur:
+                    continue
+                if cur[u] > cur[v]:
+                    buckets[cur[u]].discard(u)
+                    cur[u] -= 1
+                    buckets[cur[u]].add(u)
+            # vertices demoted below d are revisited because bucket d's
+            # loop continues until empty and lower buckets were drained;
+            # demotion never goes below cur[v] so bucket order is safe.
+    return core
+
+
+def egonet_max_weight_local(g: LocalGraph) -> dict:
+    """{index: w_u} for every non-isolated vertex of a positive graph."""
+    m = {
+        i: max(g.adj[i].values()) for i in range(g.n) if g.adj[i]
+    }
+    out = {}
+    for i, mi in m.items():
+        w = mi
+        for j in g.adj[i]:
+            if m.get(j, 0.0) > w:
+                w = m[j]
+        out[i] = w
+    return out
 
 
 def smart_init_bounds_local(gdp: LocalGraph) -> dict:
@@ -23,30 +70,4 @@ def smart_init_bounds_local(gdp: LocalGraph) -> dict:
     w = egonet_max_weight_local(gdp)
     return {
         u: tau[u] * w[u] / (tau[u] + 1.0) for u in tau if u in w
-    }
-
-
-def smart_init_bounds_spark(gdp_edges: DataFrame) -> DataFrame:
-    """Spark version over a canonical positive edge DataFrame.
-
-    Returns columns ``v, mu``; collect and remap through
-    ``LocalGraph.index`` before feeding :func:`repro.core.newsea.newsea`.
-    """
-    tau = core_numbers_spark(gdp_edges)
-    w = egonet_max_weight(gdp_edges)
-    return tau.join(w, "v").select(
-        "v",
-        (
-            F.col("core") * F.col("w_u") / (F.col("core") + F.lit(1.0))
-        ).alias("mu"),
-    )
-
-
-def collect_bounds(gdp_edges: DataFrame, g: LocalGraph) -> dict:
-    """Run the Spark bound job and remap vertex ids to internal indices."""
-    pdf = smart_init_bounds_spark(gdp_edges).toPandas()
-    return {
-        g.index[v]: float(mu)
-        for v, mu in zip(pdf["v"], pdf["mu"])
-        if v in g.index
     }

@@ -50,15 +50,20 @@ def support(x: dict, tol: float = 0.0) -> list:
     return sorted(i for i, v in x.items() if v > tol)
 
 
-def is_positive_clique(g: LocalGraph, S) -> bool:
-    """True iff every pair in S is joined by a strictly positive edge."""
+def non_positive_pair(g: LocalGraph, S):
+    """First pair (u, v) of S, in S's order, with weight <= 0; else None."""
     S = list(S)
     for a in range(len(S)):
         ai = g.adj[S[a]]
         for b in range(a + 1, len(S)):
             if ai.get(S[b], 0.0) <= 0.0:
-                return False
-    return True
+                return S[a], S[b]
+    return None
+
+
+def is_positive_clique(g: LocalGraph, S) -> bool:
+    """True iff every pair in S is joined by a strictly positive edge."""
+    return non_positive_pair(g, S) is None
 
 
 def uniform_embedding(S) -> dict:

@@ -46,8 +46,8 @@ def _run_one(gdp: LocalGraph, u: int, use_sea: bool):
 def newsea(gdp: LocalGraph, mu: dict | None = None) -> DCSGAResult:
     """Algorithm 5 on the positive part of the difference graph.
 
-    ``mu`` may be precomputed (e.g. by the Spark k-core / ego-net jobs);
-    otherwise the exact driver fallback is used.
+    ``mu`` may be precomputed; otherwise
+    :func:`repro.core.kbounds.smart_init_bounds_local` computes it.
     """
     if mu is None:
         mu = smart_init_bounds_local(gdp)

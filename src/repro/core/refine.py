@@ -1,26 +1,19 @@
 """Refinement of a KKT point to a positive-clique solution (Algorithm 4).
 
 Runs on ``G_D+``: while the support's induced subgraph is not a clique,
-pick a non-adjacent pair (u, v), merge the mass of the lower-gradient
-vertex into the other (which cannot decrease f at a KKT point, per the
-proof of Theorem 5), and re-descend to a local KKT point on the shrunken
-support. The support strictly shrinks each round, so termination is
-guaranteed; the result induces a clique in G_D+, i.e. a positive clique
-in G_D.
+pick a non-adjacent pair (u, v) — on ``G_D+`` the same test as weight
+<= 0, so :func:`repro.core.metrics.non_positive_pair` finds it — merge
+the mass of the lower-gradient vertex into the other (which cannot
+decrease f at a KKT point, per the proof of Theorem 5), and re-descend
+to a local KKT point on the shrunken support. The support strictly
+shrinks each round, so termination is guaranteed; the result induces a
+clique in G_D+, i.e. a positive clique in G_D.
 """
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
 from .cd import EPS, local_kkt
-
-
-def _non_adjacent_pair(g: LocalGraph, S: list):
-    for a in range(len(S)):
-        ai = g.adj[S[a]]
-        for b in range(a + 1, len(S)):
-            if S[b] not in ai:
-                return S[a], S[b]
-    return None
+from .metrics import non_positive_pair
 
 
 def refine(g_plus: LocalGraph, x: dict, p: dict,
@@ -28,7 +21,7 @@ def refine(g_plus: LocalGraph, x: dict, p: dict,
     """Refine (x, p) in place to a positive-clique solution on G_D+."""
     while True:
         S = sorted(x.keys())
-        pair = _non_adjacent_pair(g_plus, S)
+        pair = non_positive_pair(g_plus, S)
         if pair is None:
             return
         u, v = pair

@@ -1,18 +1,19 @@
 """The original SEA algorithm [18] as the paper's DCSGA baseline.
 
-Shrink uses replicator dynamics ``x_i <- x_i (Dx)_i / f(x)`` with the
-paper's *loose* convergence test ``|f - f_old| <= 1e-6`` (Section VI-A),
-which may stop short of a local KKT point.
+SEA runs the same Shrink-and-Expansion loop as SEACD
+(:func:`repro.core.seacd.shrink_and_expand`) and differs in two places:
 
-The Expansion step follows the appendix formulas, whose derivation
-assumes the Shrink stage reached a local KKT point — i.e. that every
-supported vertex has gradient ``lambda = 2 f(x)``. As in the original
-implementation, ``lambda`` is taken from the support gradients (their
-mean; exact at a KKT point). When the replicator stops short, that
-estimate diverges from ``2 f(x)``, the step size is mis-computed, and
-the objective can *decrease* — the "#Errors in SEA" of Table VII. The
-SEACD path (:mod:`repro.core.expansion`) instead maintains ``f`` and the
-gradients exactly, which is why it never errs.
+* Shrink uses replicator dynamics ``x_i <- x_i (Dx)_i / f(x)`` with the
+  paper's *loose* convergence test ``|f - f_old| <= 1e-6``
+  (Section VI-A), which may stop short of a local KKT point.
+* Expansion (:func:`repro.core.expansion.expand`) compares gradients
+  against lambda/2 taken, as in the original implementation, from the
+  support gradients (their mean) instead of the exact ``f(x)``. The
+  appendix formulas assume every supported vertex has gradient
+  ``lambda = 2 f(x)``; when the replicator stops short, the estimate
+  diverges from ``f(x)``, the step size is mis-computed, and the
+  objective can *decrease* — the "#Errors in SEA" of Table VII. SEACD
+  uses the exact ``f``, which is why it never errs.
 
 Valid only on non-negative matrices (``G_D+``), which is how all DCSGA
 algorithms are run in the paper.
@@ -20,8 +21,8 @@ algorithms are run in the paper.
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
-from .cd import EPS, init_state, objective
-from .seacd import SEAStats
+from .cd import EPS, objective
+from .seacd import SEAStats, shrink_and_expand
 
 
 def replicator_shrink(g: LocalGraph, x: dict, p: dict, eps: float = 1e-6,
@@ -49,72 +50,22 @@ def replicator_shrink(g: LocalGraph, x: dict, p: dict, eps: float = 1e-6,
     return it
 
 
-def _expand_kkt_assuming(g: LocalGraph, x: dict, p: dict, Z: list,
-                         lam2: float) -> None:
-    """Appendix expansion evaluated against the *estimated* KKT value.
+def _support_level(x: dict, p: dict) -> float:
+    """lambda/2 estimated as the mean support gradient.
 
-    ``lam2`` = lambda/2 estimated from the support gradients; gamma, the
-    step direction and the optimal step size all use it in place of the
-    true f(x). Identical to the exact expansion iff the Shrink stage
-    truly converged.
+    Equals f at a true local KKT point; biased when Shrink under-converged.
     """
-    gamma = {i: p.get(i, 0.0) - lam2 for i in Z}
-    s = sum(gamma.values())
-    if s <= 0.0:
-        return
-    zeta = sum(v * v for v in gamma.values())
-    zset = set(Z)
-    omega = 0.0
-    for i in Z:
-        gi = gamma[i]
-        for j, w in g.adj[i].items():
-            if j in zset:
-                omega += gi * gamma[j] * w
-    a = lam2 * s * s + 2.0 * s * zeta - omega
-    tau = 1.0 / s if a <= 0.0 else min(1.0 / s, zeta / a)
-    deltas = {u: -xu * tau * s for u, xu in x.items()}
-    for i in Z:
-        deltas[i] = deltas.get(i, 0.0) + tau * gamma[i]
-    for u, d in deltas.items():
-        if d == 0.0:
-            continue
-        x[u] = x.get(u, 0.0) + d
-        if x[u] < EPS:
-            x.pop(u, None)
-        for j, w in g.adj[u].items():
-            p[j] = p.get(j, 0.0) + d * w
+    support = [u for u, v in x.items() if v > 0.0]
+    if not support:
+        return 0.0
+    return sum(p.get(u, 0.0) for u in support) / len(support)
 
 
 def sea(g: LocalGraph, start_vertex: int, eps: float = 1e-6,
         max_outer: int = 100) -> tuple[dict, dict, SEAStats]:
     """Original SEA from the e_u initialization; returns (x, p, stats)."""
-    x, p = init_state(g, {start_vertex: 1.0})
-    stats = SEAStats()
-    stale = 0
-    for _ in range(max_outer):
-        stats.outer_iters += 1
-        stats.shrink_iters += replicator_shrink(g, x, p, eps=eps)
-        f_before = objective(x, p)
-        support = [u for u, v in x.items() if v > 0.0]
-        # lambda/2 estimated from the support gradients (== f at a true
-        # local KKT point; biased when Shrink under-converged).
-        lam2 = (
-            sum(p.get(u, 0.0) for u in support) / len(support)
-            if support
-            else 0.0
-        )
-        Z = [
-            i
-            for i, pi in p.items()
-            if pi > lam2 + 1e-9 and x.get(i, 0.0) <= 0.0
-        ]
-        if not Z:
-            break
-        _expand_kkt_assuming(g, x, p, Z, lam2)
-        f_after = objective(x, p)
-        if f_after < f_before - 1e-9:
-            stats.expansion_errors += 1
-        stale = stale + 1 if f_after <= f_before + 1e-12 else 0
-        if stale >= 3:
-            break
-    return x, p, stats
+    return shrink_and_expand(
+        g, {start_vertex: 1.0},
+        lambda x, p: replicator_shrink(g, x, p, eps=eps),
+        level=_support_level, max_outer=max_outer,
+    )

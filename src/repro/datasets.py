@@ -78,7 +78,7 @@ class DCSDataset:
     @property
     def local(self) -> LocalGraph:
         if self._local is None:
-            self._local = collect_graph(self.edges, n_vertices=None)
+            self._local = collect_graph(self.edges)
             # Pad the universe with isolated vertices for integer-id
             # families so the driver graph's n matches the dataset's.
             if self._local.n < self.n and self._local.ids and not isinstance(

@@ -53,16 +53,6 @@ class LocalGraph:
                     tot += w
         return tot
 
-    def degrees_in(self, S) -> dict:
-        """Weighted degree of each vertex of S inside the induced subgraph."""
-        sset = set(S)
-        return {
-            i: sum(w for j, w in self.adj[i].items() if j in sset) for i in sset
-        }
-
-    def neighbors(self, i: int) -> dict:
-        return self.adj[i]
-
     def to_ids(self, S) -> list:
         """Map internal indices back to external ids (sorted)."""
         return sorted(self.ids[i] for i in S)
@@ -116,7 +106,7 @@ def from_edge_pandas(edges: pd.DataFrame, n_vertices: int | None = None,
     return LocalGraph(len(ids), list(ids), index, adj)
 
 
-def collect_graph(edges: DataFrame, n_vertices: int | None = None) -> LocalGraph:
+def collect_graph(edges: DataFrame) -> LocalGraph:
     """Collect a Spark canonical edge DataFrame (src, dst, weight) to the driver."""
     pdf = edges.select("src", "dst", "weight").toPandas()
-    return from_edge_pandas(pdf, n_vertices=n_vertices)
+    return from_edge_pandas(pdf)

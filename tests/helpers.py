@@ -34,6 +34,41 @@ def random_positive_graph(n: int, p: float, seed: int, w_hi=5.0) -> LocalGraph:
     return random_signed_graph(n, p, seed, w_lo=0.2, w_hi=w_hi)
 
 
+def brute_force_core_numbers(g: LocalGraph) -> dict:
+    """{u: largest k with u in the k-core} for every non-isolated u.
+
+    The k-core is what remains after repeatedly deleting vertices of
+    degree < k.
+    """
+    out = {}
+    for k in range(1, g.n):
+        alive = set(range(g.n))
+        changed = True
+        while changed:
+            changed = False
+            for v in list(alive):
+                if sum(1 for j in g.adj[v] if j in alive) < k:
+                    alive.discard(v)
+                    changed = True
+        if not alive:
+            break
+        for v in alive:
+            out[v] = k
+    return out
+
+
+def brute_force_egonet_max_weight(g: LocalGraph) -> dict:
+    """{u: max weight over edges touching T_u = {u} ∪ N(u)}, u non-isolated."""
+    edges = [(i, j, w) for i in range(g.n) for j, w in g.adj[i].items()]
+    out = {}
+    for u in range(g.n):
+        if not g.adj[u]:
+            continue
+        T = {u, *g.adj[u]}
+        out[u] = max(w for i, j, w in edges if i in T or j in T)
+    return out
+
+
 def brute_force_densest(g: LocalGraph):
     """Max of rho(S) = 2*W(S)/|S| over all non-empty subsets (n <= ~14)."""
     best_rho, best_S = -float("inf"), None

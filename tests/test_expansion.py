@@ -36,18 +36,43 @@ def test_expand_from_exact_kkt_never_decreases(seed):
     the property whose violation (under loose convergence) the paper
     counts as SEA errors."""
     g = random_positive_graph(9, 0.5, seed)
-    if g.m < 4:
-        pytest.skip("sparse sample")
-    # Local KKT on a half-size support, tight tolerance.
     S = list(range(g.n // 2 + 1))
+    # An outside vertex joined to all of S with weight 2*max_w has
+    # (Dx) = 2*max_w > f(x) for every x on S, so Z is never empty.
+    triples = [
+        (i, j, w) for i in range(g.n) for j, w in g.adj[i].items() if i < j
+    ]
+    max_w = max((w for _, _, w in triples), default=1.0)
+    g = graph_from_triples(triples + [(i, g.n, 2.0 * max_w) for i in S],
+                           n=g.n + 1)
+    # Local KKT on a half-size support, tight tolerance.
     x, p = init_state(g, {i: 1.0 / len(S) for i in S})
     local_kkt(g, x, p, S, tol=1e-12)
     f0 = objective(x, p)
     Z = expansion_candidates(g, x, p)
-    if not Z:
-        pytest.skip("nothing to expand")
+    assert g.n - 1 in Z
     expand(g, x, p, Z)
     assert objective(x, p) >= f0 - 1e-8
+
+
+def test_explicit_exact_level_matches_default():
+    g = random_positive_graph(9, 0.5, 3)
+    x, p = init_state(g, {0: 0.5, 1: 0.3, 2: 0.2})
+    local_kkt(g, x, p, [0, 1, 2], tol=1e-3)
+    x2, p2 = dict(x), dict(p)
+    Z = expansion_candidates(g, x, p)
+    assert Z and Z == expansion_candidates(g, x, p, level=objective(x, p))
+    expand(g, x2, p2, Z, level=objective(x2, p2))
+    expand(g, x, p, Z)
+    assert (x, p) == (x2, p2)
+
+
+def test_expand_is_noop_when_no_gain():
+    g = graph_from_triples([(0, 1, 2.0), (1, 2, 1.0)])
+    x, p = init_state(g, {0: 0.5, 1: 0.5})
+    before = (dict(x), dict(p))
+    expand(g, x, p, [2], level=5.0)  # gamma_2 = 0.5 - 5 < 0
+    assert (x, p) == before
 
 
 def test_expand_grows_support():

@@ -1,24 +1,8 @@
-"""Spark graph analytics: stats, degrees, components, k-core, ego-net.
-
-Each DataFrame computation is oracle-checked against DuckDB and/or an
-exact driver-side implementation.
-"""
+"""Spark difference-graph statistics (Table II)."""
 import pandas as pd
 import pytest
 
-from repro.graph.components import connected_components
-from repro.graph.degrees import (
-    max_incident_weight,
-    unweighted_degrees,
-    weighted_degrees,
-)
-from repro.graph.egonet import egonet_max_weight, egonet_max_weight_local
-from repro.graph.kcore import core_numbers_exact, core_numbers_spark
-from repro.graph.local import from_edge_pandas
 from repro.graph.stats import difference_stats
-from repro.oracle import assert_equivalent
-
-from tests.helpers import random_signed_graph
 
 
 @pytest.fixture
@@ -46,130 +30,3 @@ def test_stats_empty(spark):
     ).where("weight > 99")
     st = difference_stats(empty, n_vertices=3)
     assert st["m_pos"] == 0 and st["m_neg"] == 0
-
-
-def test_weighted_degrees_oracle(spark, edges_pdf):
-    deg = weighted_degrees(spark.createDataFrame(edges_pdf))
-    assert_equivalent(
-        deg,
-        """
-        SELECT v, sum(weight) AS degree FROM (
-          SELECT src AS v, weight FROM e
-          UNION ALL SELECT dst AS v, weight FROM e
-        ) GROUP BY v
-        """,
-        e=edges_pdf,
-    )
-
-
-def test_unweighted_degrees_oracle(spark, edges_pdf):
-    deg = unweighted_degrees(spark.createDataFrame(edges_pdf))
-    assert_equivalent(
-        deg,
-        """
-        SELECT v, count(*) AS degree FROM (
-          SELECT src AS v FROM e UNION ALL SELECT dst AS v FROM e
-        ) GROUP BY v
-        """,
-        e=edges_pdf,
-    )
-
-
-def test_max_incident_weight_oracle(spark, edges_pdf):
-    out = max_incident_weight(spark.createDataFrame(edges_pdf))
-    assert_equivalent(
-        out,
-        """
-        SELECT v, max(weight) AS max_w FROM (
-          SELECT src AS v, weight FROM e
-          UNION ALL SELECT dst AS v, weight FROM e
-        ) GROUP BY v
-        """,
-        e=edges_pdf,
-    )
-
-
-def test_connected_components_matches_bfs(spark):
-    g = random_signed_graph(30, 0.08, 5)
-    triples = [
-        (i, j, w) for i in range(g.n) for j, w in g.adj[i].items() if i < j
-    ]
-    if not triples:
-        pytest.skip("empty sample")
-    pdf = pd.DataFrame(triples, columns=["src", "dst", "weight"])
-    cc = connected_components(spark.createDataFrame(pdf)).collect()
-    got = {}
-    for r in cc:
-        got.setdefault(r["component"], set()).add(r["v"])
-    comps_spark = {frozenset(v) for v in got.values()}
-    comps_local = {
-        frozenset(c)
-        for c in g.connected_components_of(
-            [v for v in range(g.n) if g.adj[v]]
-        )
-    }
-    assert comps_spark == comps_local
-
-
-def test_connected_components_two_triangles(spark):
-    pdf = pd.DataFrame(
-        {"src": [0, 1, 0, 10, 11, 10], "dst": [1, 2, 2, 11, 12, 12],
-         "weight": [1.0] * 6}
-    )
-    cc = connected_components(spark.createDataFrame(pdf)).collect()
-    lab = {r["v"]: r["component"] for r in cc}
-    assert lab[0] == lab[1] == lab[2] == 0
-    assert lab[10] == lab[11] == lab[12] == 10
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_core_numbers_spark_vs_exact(spark, seed):
-    g = random_signed_graph(40, 0.12, seed + 300)
-    triples = [
-        (i, j, abs(w)) for i in range(g.n) for j, w in g.adj[i].items() if i < j
-    ]
-    if not triples:
-        pytest.skip("empty sample")
-    pdf = pd.DataFrame(triples, columns=["src", "dst", "weight"])
-    out = core_numbers_spark(spark.createDataFrame(pdf)).collect()
-    got = {r["v"]: r["core"] for r in out}
-    exact = core_numbers_exact(from_edge_pandas(pdf))
-    gl = from_edge_pandas(pdf)
-    exact_ids = {gl.ids[i]: c for i, c in exact.items()}
-    assert got == exact_ids
-
-
-def test_core_numbers_clique_plus_tail(spark):
-    rows = [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)]
-    rows += [(4, 5, 1.0), (5, 6, 1.0)]
-    pdf = pd.DataFrame(rows, columns=["src", "dst", "weight"])
-    out = {r["v"]: r["core"]
-           for r in core_numbers_spark(spark.createDataFrame(pdf)).collect()}
-    assert all(out[i] == 4 for i in range(5))
-    assert out[5] == 1 and out[6] == 1
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_egonet_max_weight_spark_vs_local(spark, seed):
-    g = random_signed_graph(25, 0.15, seed + 400, w_lo=0.5, w_hi=9.0)
-    triples = [
-        (i, j, w) for i in range(g.n) for j, w in g.adj[i].items() if i < j
-    ]
-    if not triples:
-        pytest.skip("empty sample")
-    pdf = pd.DataFrame(triples, columns=["src", "dst", "weight"])
-    out = {r["v"]: r["w_u"]
-           for r in egonet_max_weight(spark.createDataFrame(pdf)).collect()}
-    gl = from_edge_pandas(pdf)
-    local = egonet_max_weight_local(gl)
-    assert out == {gl.ids[i]: w for i, w in local.items()}
-
-
-def test_egonet_bound_is_two_hop_max(spark):
-    # Star 0-1, 1-2(heavy): w_u of 0 must see the heavy edge at hop 2.
-    pdf = pd.DataFrame(
-        {"src": [0, 1], "dst": [1, 2], "weight": [1.0, 7.0]}
-    )
-    out = {r["v"]: r["w_u"]
-           for r in egonet_max_weight(spark.createDataFrame(pdf)).collect()}
-    assert out == {0: 7.0, 1: 7.0, 2: 7.0}

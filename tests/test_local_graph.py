@@ -43,13 +43,6 @@ def test_subgraph_weight(tri):
     assert tri.subgraph_weight([0]) == 0.0
 
 
-def test_degrees_in(tri):
-    d = tri.degrees_in([0, 1, 2])
-    assert d[0] == 5.0 and d[1] == 1.0 and d[2] == 2.0
-    d2 = tri.degrees_in([0, 1])
-    assert d2[0] == 2.0 and d2[1] == 2.0
-
-
 def test_to_ids_roundtrip():
     pdf = pd.DataFrame({"src": [10, 30], "dst": [30, 50], "weight": [1.0, 2.0]})
     g = from_edge_pandas(pdf)

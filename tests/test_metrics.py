@@ -6,6 +6,7 @@ from repro.core.metrics import (
     avg_degree,
     edge_density,
     is_positive_clique,
+    non_positive_pair,
     support,
     total_degree,
     uniform_embedding,
@@ -69,6 +70,13 @@ def test_is_positive_clique():
     g2 = graph_from_triples([(0, 1, 1.0), (1, 2, 1.0)])
     assert not is_positive_clique(g2, [0, 1, 2])  # missing edge
     assert is_positive_clique(g2, [2])  # singleton
+
+
+def test_non_positive_pair_first_in_order():
+    g = graph_from_triples([(0, 1, 1.0), (1, 2, -1.0), (2, 3, 1.0)])
+    assert non_positive_pair(g, [0, 1, 2, 3]) == (0, 2)  # missing edge
+    assert non_positive_pair(g, [1, 2, 3]) == (1, 2)  # negative edge
+    assert non_positive_pair(g, [2, 3]) is None
 
 
 def test_negative_weights_in_density():
