@@ -23,10 +23,6 @@ class DCSADResult:
     candidates: dict  # name -> (S, rho_D(S)) for diagnostics / Tables X & XII
 
 
-def _rho_d(gd: LocalGraph, S) -> float:
-    return avg_degree(gd, S)
-
-
 def dcs_greedy(gd: LocalGraph) -> DCSADResult:
     """Run Algorithm 2 on a difference graph (internal-index LocalGraph)."""
     # Case 1: no positive edges — any single vertex is optimal (density 0).
@@ -46,16 +42,16 @@ def dcs_greedy(gd: LocalGraph) -> DCSADResult:
     s2, rho2_plus = greedy_peel(gdp)
 
     candidates = {
-        "max_edge": (s_edge, _rho_d(gd, s_edge)),
-        "greedy_gd": (s1, _rho_d(gd, s1)),
-        "greedy_gdplus": (s2, _rho_d(gd, s2)),
+        "max_edge": (s_edge, avg_degree(gd, s_edge)),
+        "greedy_gd": (s1, avg_degree(gd, s1)),
+        "greedy_gdplus": (s2, avg_degree(gd, s2)),
     }
     name, (S, rho) = max(candidates.items(), key=lambda kv: kv[1][1])
 
     comps = gd.connected_components_of(S)
     if len(comps) > 1:
-        S = max(comps, key=lambda c: _rho_d(gd, c))
-        rho = _rho_d(gd, S)
+        S = max(comps, key=lambda c: avg_degree(gd, c))
+        rho = avg_degree(gd, S)
 
     # Theorem 2: rho_{D+}(S2) is a 2-approx of the max density in G_D+,
     # which upper-bounds the max density in G_D.
@@ -72,4 +68,4 @@ def greedy_only(gd: LocalGraph, positive: bool) -> tuple[list, float, bool]:
     """
     g = gd.positive_part() if positive else gd
     S, _ = greedy_peel(g)
-    return S, _rho_d(gd, S), is_positive_clique(gd, S)
+    return S, avg_degree(gd, S), is_positive_clique(gd, S)

@@ -43,14 +43,12 @@ def _run_one(gdp: LocalGraph, u: int, use_sea: bool):
     return x, objective(x, p), stats
 
 
-def newsea(gdp: LocalGraph, mu: dict | None = None) -> DCSGAResult:
+def newsea(gdp: LocalGraph) -> DCSGAResult:
     """Algorithm 5 on the positive part of the difference graph.
 
-    ``mu`` may be precomputed; otherwise
-    :func:`repro.core.kbounds.smart_init_bounds_local` computes it.
+    The bounds come from :func:`repro.core.kbounds.smart_init_bounds_local`.
     """
-    if mu is None:
-        mu = smart_init_bounds_local(gdp)
+    mu = smart_init_bounds_local(gdp)
     order = sorted(mu, key=mu.__getitem__, reverse=True)
     best_x: dict = {}
     best_f = 0.0

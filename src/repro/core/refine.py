@@ -12,12 +12,11 @@ clique in G_D+, i.e. a positive clique in G_D.
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
-from .cd import EPS, local_kkt
+from .cd import EPS, apply_delta, local_kkt
 from .metrics import non_positive_pair
 
 
-def refine(g_plus: LocalGraph, x: dict, p: dict,
-           tol_scale: float = 1e-2) -> None:
+def refine(g_plus: LocalGraph, x: dict, p: dict) -> None:
     """Refine (x, p) in place to a positive-clique solution on G_D+."""
     while True:
         S = sorted(x.keys())
@@ -30,15 +29,10 @@ def refine(g_plus: LocalGraph, x: dict, p: dict,
         # the KKT point is only approximate.
         if p.get(u, 0.0) < p.get(v, 0.0):
             u, v = v, u
-        delta = x.get(v, 0.0)
-        x[u] = x.get(u, 0.0) + delta
-        x.pop(v, None)
-        for j, w in g_plus.adj[u].items():
-            p[j] = p.get(j, 0.0) + delta * w
-        for j, w in g_plus.adj[v].items():
-            p[j] = p.get(j, 0.0) - delta * w
-        S = sorted(x.keys())
-        local_kkt(g_plus, x, p, S, tol=tol_scale / max(1, len(S)))
+        delta = x[v]
+        apply_delta(g_plus, x, p, u, delta)
+        apply_delta(g_plus, x, p, v, -delta)  # x_v reaches 0.0 and is popped
+        local_kkt(g_plus, x, p, sorted(x.keys()))
         # Drop numerically-dead mass so the clique test sees the true support.
         for k in [k for k, val in x.items() if val < EPS]:
             x.pop(k, None)

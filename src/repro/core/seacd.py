@@ -58,8 +58,8 @@ def shrink_and_expand(g: LocalGraph, x0: dict, shrink, level=None,
 
 
 def seacd(g: LocalGraph, start_vertex: int | None = None,
-          x0: dict | None = None, tol_scale: float = 1e-2,
-          max_outer: int = 500) -> tuple[dict, dict, SEAStats]:
+          x0: dict | None = None, max_outer: int = 500
+          ) -> tuple[dict, dict, SEAStats]:
     """Run SEACD on (a positive-part) LocalGraph from a sparse start.
 
     Returns (x, p, stats). ``start_vertex`` gives the e_u initialization
@@ -71,7 +71,6 @@ def seacd(g: LocalGraph, start_vertex: int | None = None,
         x0 = {start_vertex: 1.0}
 
     def shrink(x: dict, p: dict) -> int:
-        S = list(x.keys()) or list(x0.keys())
-        return local_kkt(g, x, p, S, tol=tol_scale / max(1, len(S)))
+        return local_kkt(g, x, p, list(x.keys()) or list(x0.keys()))
 
     return shrink_and_expand(g, x0, shrink, max_outer=max_outer)

@@ -79,19 +79,15 @@ class LocalGraph:
         return comps
 
 
-def from_edge_pandas(edges: pd.DataFrame, n_vertices: int | None = None,
-                     ids: list | None = None) -> LocalGraph:
+def from_edge_pandas(edges: pd.DataFrame, ids: list | None = None
+                     ) -> LocalGraph:
     """Build a LocalGraph from a pandas edge list with columns src, dst, weight.
 
     ``ids`` fixes the vertex universe (for isolated vertices); otherwise the
-    universe is the set of endpoint ids, optionally padded to ``n_vertices``
-    assuming ids ``0..n_vertices-1``.
+    universe is the sorted set of endpoint ids.
     """
     if ids is None:
-        if n_vertices is not None:
-            ids = list(range(n_vertices))
-        else:
-            ids = sorted(set(edges["src"]).union(edges["dst"]))
+        ids = sorted(set(edges["src"]).union(edges["dst"]))
     index = {v: i for i, v in enumerate(ids)}
     adj: list = [dict() for _ in ids]
     src = edges["src"].to_numpy()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from ..core.metrics import (
+    affinity,
     avg_degree,
     edge_density,
     is_positive_clique,
@@ -39,8 +40,6 @@ def solution_row(ds: DCSDataset, indices: list, x: dict | None = None) -> dict:
         "total_weight_diff": total_degree(g, S),
     }
     if x is not None:
-        from ..core.metrics import affinity
-
         row["affinity_diff"] = affinity(g, x)
     return row
 

@@ -9,12 +9,9 @@ from ..graph.stats import difference_stats
 COLUMNS = ["data", "config", "n", "m_pos", "m_neg", "max_w", "min_w", "avg_w"]
 
 
-def run(spark: SparkSession, scale: str = "bench",
-        families: list | None = None) -> list:
+def run(spark: SparkSession, scale: str = "bench") -> list:
     rows = []
     for fam, cfg in all_configs():
-        if families is not None and fam not in families:
-            continue
         ds = get_dataset(spark, fam, cfg, scale)
         st = difference_stats(ds.edges, ds.n)
         rows.append({"data": fam, "config": cfg, **st})

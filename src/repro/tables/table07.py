@@ -25,7 +25,7 @@ COLUMNS = [
 
 
 def run(spark: SparkSession, scale: str = "bench",
-        families: list | None = None, skip_sea: bool = False) -> list:
+        families: list | None = None) -> list:
     rows = []
     for fam, cfg in all_configs():
         if families is not None and fam not in families:
@@ -41,12 +41,9 @@ def run(spark: SparkSession, scale: str = "bench",
         r_cd = seacd_refine_full(gdp)
         t_cd = time.perf_counter() - t0
 
-        if skip_sea:
-            t_sea, r_sea = None, None
-        else:
-            t0 = time.perf_counter()
-            r_sea = sea_refine_full(gdp)
-            t_sea = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        r_sea = sea_refine_full(gdp)
+        t_sea = time.perf_counter() - t0
 
         rows.append(
             {
@@ -55,11 +52,11 @@ def run(spark: SparkSession, scale: str = "bench",
                 "t_newsea": t_new,
                 "t_seacd_refine": t_cd,
                 "t_sea_refine": t_sea,
-                "errors_sea": r_sea.expansion_errors if r_sea else None,
+                "errors_sea": r_sea.expansion_errors,
                 "errors_seacd": r_cd.expansion_errors,
                 "f_newsea": r_new.f,
                 "f_seacd": r_cd.f,
-                "f_sea": r_sea.f if r_sea else None,
+                "f_sea": r_sea.f,
             }
         )
     return rows

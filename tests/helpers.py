@@ -12,7 +12,7 @@ from repro.graph.local import LocalGraph, from_edge_pandas
 def graph_from_triples(triples, n=None) -> LocalGraph:
     """LocalGraph from [(u, v, w), ...]."""
     pdf = pd.DataFrame(triples, columns=["src", "dst", "weight"])
-    return from_edge_pandas(pdf, n_vertices=n)
+    return from_edge_pandas(pdf, ids=None if n is None else list(range(n)))
 
 
 def random_signed_graph(n: int, p: float, seed: int, w_lo=-3.0, w_hi=5.0

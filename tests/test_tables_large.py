@@ -1,7 +1,11 @@
-"""Tables II, VII and XIV harnesses (test scale)."""
+"""Tables II, VII and XIV harnesses, and the DCSGA claims on every config
+(test scale)."""
 import pytest
 
-from repro.tables import table02, table07, table14
+from repro.core.metrics import is_positive_clique
+from repro.core.newsea import newsea, seacd_refine_full
+from repro.datasets import all_configs, get_dataset
+from repro.tables import table02, table07, table10_13
 
 
 @pytest.fixture(scope="module")
@@ -11,14 +15,15 @@ def t2(spark):
 
 @pytest.fixture(scope="module")
 def t7_small(spark):
-    # SEA+Refine on every config is the expensive part; restrict the unit
-    # test to two families (the full sweep runs in the benchmarks).
+    # SEA+Refine on every config is the expensive part; restrict the
+    # harness to two families (test_dcsga_claims_on_every_config checks
+    # NewSEA and SEACD+Refine on all 16).
     return table07.run(spark, scale="test", families=["dblp", "dm"])
 
 
 @pytest.fixture(scope="module")
 def t14(spark):
-    return table14.run(spark, scale="test")
+    return table10_13.run_affinity(spark, ["dblpc", "actor"], scale="test")
 
 
 def test_table2_has_16_rows(t2):
@@ -80,3 +85,17 @@ def test_table14_weighted_tiny_discrete_clique(t14):
         108.1, abs=0.5
     )  # paper: 108.25
     assert by[("actor", "discrete")]["size"] == 21  # paper: 21
+
+
+@pytest.mark.parametrize(
+    "family,config", all_configs(), ids=[f"{f}-{c}" for f, c in all_configs()]
+)
+def test_dcsga_claims_on_every_config(spark, family, config):
+    """Zero SEACD expansion errors, f(NewSEA) >= f(full-init SEACD+Refine)
+    and a positive-clique NewSEA support (Theorem 5)."""
+    ds = get_dataset(spark, family, config, "test")
+    gdp = ds.local.positive_part()
+    new, full = newsea(gdp), seacd_refine_full(gdp)
+    assert new.expansion_errors == 0 and full.expansion_errors == 0
+    assert new.f >= full.f - 1e-6
+    assert is_positive_clique(ds.local, list(new.x))
