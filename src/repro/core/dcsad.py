@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..graph.local import LocalGraph
 from .greedy import greedy_peel
-from .metrics import avg_degree, is_positive_clique
+from .metrics import avg_degree
 
 
 @dataclass
@@ -59,13 +59,3 @@ def dcs_greedy(gd: LocalGraph) -> DCSADResult:
     ratio = (2.0 * rho2 / rho) if rho > 0 else float("inf")
     return DCSADResult(sorted(S), rho, ratio, candidates)
 
-
-def greedy_only(gd: LocalGraph, positive: bool) -> tuple[list, float, bool]:
-    """The "G_D only" / "G_D+ only" columns of Tables X and XII.
-
-    Runs plain Greedy on G_D (positive=False) or on G_D+ (positive=True)
-    and evaluates the result *in G_D*. Returns (S, rho_D(S), is_pos_clique).
-    """
-    g = gd.positive_part() if positive else gd
-    S, _ = greedy_peel(g)
-    return S, avg_degree(gd, S), is_positive_clique(gd, S)

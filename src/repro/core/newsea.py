@@ -31,53 +31,32 @@ class DCSGAResult:
     f: float  # affinity difference f_D(x) = x' D x
     inits: int  # number of initializations actually run
     expansion_errors: int = 0
-    cliques: list | None = None  # [(frozenset support, f, x)] for full runs
+    cliques: list | None = None  # [(frozenset support, f, x)], best f first
 
 
-def _run_one(gdp: LocalGraph, u: int, use_sea: bool):
-    if use_sea:
-        x, p, stats = sea(gdp, u)
-    else:
-        x, p, stats = seacd(gdp, start_vertex=u)
-    refine(gdp, x, p)
-    return x, objective(x, p), stats
+def _multi_start(gdp: LocalGraph, order, use_sea: bool,
+                 mu: dict | None = None) -> DCSGAResult:
+    """SEACD (or SEA) + Refine from each start vertex in ``order``.
 
-
-def newsea(gdp: LocalGraph) -> DCSGAResult:
-    """Algorithm 5 on the positive part of the difference graph.
-
-    The bounds come from :func:`repro.core.kbounds.smart_init_bounds_local`.
+    With ``mu``, stops at the first start whose bound ``mu[u]`` cannot beat
+    the best f found. Collects every distinct positive clique found.
     """
-    mu = smart_init_bounds_local(gdp)
-    order = sorted(mu, key=mu.__getitem__, reverse=True)
-    best_x: dict = {}
-    best_f = 0.0
-    inits = 0
-    errors = 0
-    for u in order:
-        if mu[u] <= best_f:
-            break
-        inits += 1
-        x, f, stats = _run_one(gdp, u, use_sea=False)
-        errors += stats.expansion_errors
-        if f > best_f:
-            best_f, best_x = f, x
-    if not best_x and gdp.n:
-        best_x = {0: 1.0}
-    return DCSGAResult(best_x, best_f, inits, errors)
-
-
-def _full_init(gdp: LocalGraph, use_sea: bool) -> DCSGAResult:
     best_x: dict = {}
     best_f = 0.0
     inits = 0
     errors = 0
     cliques: dict = {}
-    for u in range(gdp.n):
-        if not gdp.adj[u]:
-            continue  # e_u is already a KKT point with f = 0
+    for u in order:
+        if mu is not None and mu[u] <= best_f:
+            break
         inits += 1
-        x, f, stats = _run_one(gdp, u, use_sea=use_sea)
+        # Looked up at call time, so a patched seacd/sea/refine is used.
+        if use_sea:
+            x, p, stats = sea(gdp, u)
+        else:
+            x, p, stats = seacd(gdp, start_vertex=u)
+        refine(gdp, x, p)
+        f = objective(x, p)
         errors += stats.expansion_errors
         key = frozenset(x.keys())
         if key and (key not in cliques or f > cliques[key][0]):
@@ -91,14 +70,29 @@ def _full_init(gdp: LocalGraph, use_sea: bool) -> DCSGAResult:
     return DCSGAResult(best_x, best_f, inits, errors, out)
 
 
+def newsea(gdp: LocalGraph) -> DCSGAResult:
+    """Algorithm 5 on the positive part of the difference graph.
+
+    The bounds come from :func:`repro.core.kbounds.smart_init_bounds_local`.
+    """
+    mu = smart_init_bounds_local(gdp)
+    order = sorted(mu, key=mu.__getitem__, reverse=True)
+    return _multi_start(gdp, order, use_sea=False, mu=mu)
+
+
 def seacd_refine_full(gdp: LocalGraph) -> DCSGAResult:
-    """SEACD+Refine initialized at every non-isolated vertex."""
-    return _full_init(gdp, use_sea=False)
+    """SEACD+Refine initialized at every non-isolated vertex.
+
+    (At an isolated vertex u, e_u is already a KKT point with f = 0.)
+    """
+    return _multi_start(gdp, [u for u in range(gdp.n) if gdp.adj[u]],
+                        use_sea=False)
 
 
 def sea_refine_full(gdp: LocalGraph) -> DCSGAResult:
     """Original SEA+Refine initialized at every non-isolated vertex."""
-    return _full_init(gdp, use_sea=True)
+    return _multi_start(gdp, [u for u in range(gdp.n) if gdp.adj[u]],
+                        use_sea=True)
 
 
 def dedup_cliques(cliques: list) -> list:

@@ -12,7 +12,7 @@ clique in G_D+, i.e. a positive clique in G_D.
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
-from .cd import EPS, apply_delta, local_kkt
+from .cd import apply_delta, local_kkt
 from .metrics import non_positive_pair
 
 
@@ -33,6 +33,3 @@ def refine(g_plus: LocalGraph, x: dict, p: dict) -> None:
         apply_delta(g_plus, x, p, u, delta)
         apply_delta(g_plus, x, p, v, -delta)  # x_v reaches 0.0 and is popped
         local_kkt(g_plus, x, p, sorted(x.keys()))
-        # Drop numerically-dead mass so the clique test sees the true support.
-        for k in [k for k, val in x.items() if val < EPS]:
-            x.pop(k, None)

@@ -21,7 +21,7 @@ algorithms are run in the paper.
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
-from .cd import EPS, objective
+from .cd import EPS, apply_delta, objective
 from .seacd import SEAStats, shrink_and_expand
 
 
@@ -32,17 +32,12 @@ def replicator_shrink(g: LocalGraph, x: dict, p: dict, eps: float = 1e-6,
     it = 0
     while f > 0.0 and it < max_iter:
         it += 1
-        new_x = {}
-        for u, xu in x.items():
-            nv = xu * p.get(u, 0.0) / f
-            if nv > EPS:
-                new_x[u] = nv
+        new_x = {u: xu * p.get(u, 0.0) / f for u, xu in x.items()}
         x.clear()
-        x.update(new_x)
         p.clear()
-        for u, xu in x.items():
-            for j, w in g.adj[u].items():
-                p[j] = p.get(j, 0.0) + xu * w
+        for u, xu in new_x.items():
+            if xu > EPS:
+                apply_delta(g, x, p, u, xu)
         f_new = objective(x, p)
         if abs(f_new - f) <= eps:
             return it

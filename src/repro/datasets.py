@@ -1,29 +1,28 @@
 """Dataset registry: every (family, config) difference graph of Table II.
 
-16 configurations, mirroring the paper:
-
-* dblp: weighted/discrete × emerging/disappearing (4)
-* dm: emerging/disappearing (2)
-* wiki: consistent/conflicting (2)
-* movie, book: interest-social / social-interest (4)
-* dblpc: weighted/discrete (2)
-* actor: weighted/discrete (2)
+Each of the seven families runs its generator once per scale and yields
+one base difference graph G_D with its vertex-universe size, planted
+groups and labels. The family's configs, 16 in all, are transforms of that
+base (:data:`_FAMILIES`): Emerging <-> Disappearing swaps G1 and G2
+(``flip``, Section III-B) and the Discrete setting maps the weights
+(``discretize``, Section VI-B).
 
 ``get_dataset(spark, family, config, scale)`` returns a
 :class:`DCSDataset` whose ``edges`` is the canonical Spark difference
 graph and whose ``local`` property lazily collects a LocalGraph for the
-driver-side optimizers. Results are cached per (family, config, scale)
-for the lifetime of the process; ``scale`` is "test" (tiny, for unit
-tests) or "bench" (the EXPERIMENTS.md scale).
+driver-side optimizers. Bases and datasets are cached per scale for the
+lifetime of the process; ``scale`` is "test" (tiny, for unit tests) or
+"bench" (the EXPERIMENTS.md scale).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from pyspark.sql import DataFrame, SparkSession
 
 from .graph import difference as diff
-from .graph.local import LocalGraph, collect_graph
+from .graph.local import LocalGraph, from_edge_pandas
 from .graphgen import bigco, coauthor, douban, signed, titles
 
 _SCALES = {
@@ -52,17 +51,6 @@ _SCALES = {
     ),
 }
 
-CONFIGS = {
-    "dblp": ["weighted-emerging", "weighted-disappearing",
-             "discrete-emerging", "discrete-disappearing"],
-    "dm": ["emerging", "disappearing"],
-    "wiki": ["consistent", "conflicting"],
-    "movie": ["interest-social", "social-interest"],
-    "book": ["interest-social", "social-interest"],
-    "dblpc": ["weighted", "discrete"],
-    "actor": ["weighted", "discrete"],
-}
-
 
 @dataclass
 class DCSDataset:
@@ -78,20 +66,14 @@ class DCSDataset:
     @property
     def local(self) -> LocalGraph:
         if self._local is None:
-            self._local = collect_graph(self.edges)
-            # Pad the universe with isolated vertices for integer-id
-            # families so the driver graph's n matches the dataset's.
-            if self._local.n < self.n and self._local.ids and not isinstance(
-                self._local.ids[0], str
-            ):
-                missing = [
-                    i for i in range(self.n) if i not in self._local.index
-                ]
-                for i in missing:
-                    self._local.index[i] = len(self._local.ids)
-                    self._local.ids.append(i)
-                    self._local.adj.append({})
-                self._local.n = len(self._local.ids)
+            pdf = self.edges.select("src", "dst", "weight").toPandas()
+            ids = sorted(set(pdf["src"]).union(pdf["dst"]))
+            # Integer-id families keep their isolated vertices (n as in the
+            # dataset), after the endpoints so no endpoint's index moves.
+            if ids and not isinstance(ids[0], str):
+                present = set(ids)
+                ids += [i for i in range(self.n) if i not in present]
+            self._local = from_edge_pandas(pdf, ids)
         return self._local
 
     def planted_indices(self, name: str) -> list:
@@ -99,29 +81,89 @@ class DCSDataset:
         return sorted(g.index[v] for v in self.planted[name] if v in g.index)
 
 
+def _dblp(spark, scale):
+    p = _SCALES[scale]["dblp"]
+    g1, g2 = coauthor.era_graphs(spark, coauthor.events(**p))
+    return (diff.difference(g1, g2), p["n"], dict(coauthor.PLANTED),
+            coauthor.labels(p["n"]))
+
+
+def _dm(spark, scale):
+    g1, g2 = dm_single_graphs(spark, scale)
+    planted = {"pairs": [list(t) for t in titles.PAIR_TOPICS],
+               "triples": [list(t) for t in titles.TRIPLE_TOPICS]}
+    n = len(titles.vocabulary(_SCALES[scale]["dm"]["n_filler"]))
+    return diff.difference(g1, g2), n, planted, None
+
+
+def _wiki(spark, scale):
+    p = _SCALES[scale]["wiki"]
+    g1, g2, ranges = signed.interaction_graphs(spark, **p)
+    # Consistent: G1 - G2 (positive interactions dominate).
+    return diff.difference(g2, g1), p["n"], ranges, None
+
+
+def _douban(kind, spark, scale):
+    p = _SCALES[scale]["douban"]
+    social, interest, planted = douban.douban_graphs(spark, kind, **p)
+    return diff.difference(social, interest), p["n"], planted, None
+
+
+def _dblpc(spark, scale):
+    p = _SCALES[scale]["dblpc"]
+    g1, g2 = bigco.dblpc_graphs(spark, **p)
+    return diff.difference(g1, g2), p["n"], dict(bigco.DBLPC_PLANTED), None
+
+
+def _actor(spark, scale):
+    p = _SCALES[scale]["actor"]
+    gd = diff.canonicalize(bigco.actor_graph(spark, **p))
+    return gd, p["n"], dict(bigco.ACTOR_PLANTED), None
+
+
+def _same(gd: DataFrame) -> DataFrame:
+    return gd
+
+
+# family -> (base builder, {config: transform of the base G_D}), in Table II
+# order. A builder maps (spark, scale) to (G_D, n, planted, labels).
+_FAMILIES = {
+    "dblp": (_dblp, {
+        "weighted-emerging": _same,
+        "weighted-disappearing": diff.flip,
+        "discrete-emerging": diff.discretize,
+        "discrete-disappearing": lambda gd: diff.flip(diff.discretize(gd)),
+    }),
+    "dm": (_dm, {"emerging": _same, "disappearing": diff.flip}),
+    "wiki": (_wiki, {"consistent": _same, "conflicting": diff.flip}),
+    "movie": (partial(_douban, "movie"),
+              {"interest-social": _same, "social-interest": diff.flip}),
+    "book": (partial(_douban, "book"),
+             {"interest-social": _same, "social-interest": diff.flip}),
+    "dblpc": (_dblpc, {"weighted": _same, "discrete": diff.discretize}),
+    "actor": (_actor, {"weighted": _same,
+                       "discrete": lambda gd: diff.cap_weights(gd, 10.0)}),
+}
+
+CONFIGS = {fam: list(cfgs) for fam, (_, cfgs) in _FAMILIES.items()}
+
 _CACHE: dict = {}
 
 
 def get_dataset(spark: SparkSession, family: str, config: str,
                 scale: str = "test") -> DCSDataset:
     key = (family, config, scale)
-    if key in _CACHE:
-        return _CACHE[key]
-    builder = {
-        "dblp": _build_dblp,
-        "dm": _build_dm,
-        "wiki": _build_wiki,
-        "movie": lambda s, c, p: _build_douban(s, "movie", c, p),
-        "book": lambda s, c, p: _build_douban(s, "book", c, p),
-        "dblpc": _build_dblpc,
-        "actor": _build_actor,
-    }[family]
-    params_key = "douban" if family in ("movie", "book") else family
-    ds = builder(spark, config, _SCALES[scale][params_key])
-    ds.scale = scale
-    ds.edges = ds.edges.localCheckpoint(eager=True)
-    _CACHE[key] = ds
-    return ds
+    if key not in _CACHE:
+        build, transforms = _FAMILIES[family]
+        if (family, scale) not in _CACHE:
+            gd, n, planted, labels = build(spark, scale)
+            _CACHE[family, scale] = (gd.localCheckpoint(eager=True), n,
+                                     planted, labels)
+        base, n, planted, labels = _CACHE[family, scale]
+        edges = transforms[config](base).localCheckpoint(eager=True)
+        _CACHE[key] = DCSDataset(family, config, scale, edges, n, labels,
+                                 planted)
+    return _CACHE[key]
 
 
 def all_configs():
@@ -131,78 +173,10 @@ def all_configs():
 
 def dm_single_graphs(spark: SparkSession, scale: str = "test"
                      ) -> tuple[DataFrame, DataFrame]:
-    """The two DM keyword-association graphs themselves (for Table VI)."""
+    """The two DM keyword graphs (Table VI); DM's G_D is their difference."""
     key = ("dm-single", scale)
     if key not in _CACHE:
-        p = _SCALES[scale]["dm"]
-        g1, g2 = titles.keyword_graphs(spark, p["n1"], p["n2"], p["n_filler"])
-        g1 = diff.canonicalize(g1).localCheckpoint(eager=True)
-        g2 = diff.canonicalize(g2).localCheckpoint(eager=True)
-        _CACHE[key] = (g1, g2)
+        g1, g2 = titles.keyword_graphs(spark, **_SCALES[scale]["dm"])
+        _CACHE[key] = (diff.canonicalize(g1).localCheckpoint(eager=True),
+                       diff.canonicalize(g2).localCheckpoint(eager=True))
     return _CACHE[key]
-
-
-def _build_dblp(spark, config, p) -> DCSDataset:
-    ev = coauthor.events(p["n"], p["bg_pairs"])
-    g1, g2 = coauthor.era_graphs(spark, ev)
-    gd = diff.difference(g1, g2)  # emerging: G2 - G1
-    setting, kind = config.split("-")
-    if setting == "discrete":
-        gd = diff.discretize(gd)
-    if kind == "disappearing":
-        gd = diff.flip(gd)
-    return DCSDataset("dblp", config, "", gd, p["n"],
-                      labels=coauthor.labels(p["n"]),
-                      planted=dict(coauthor.PLANTED))
-
-
-def _build_dm(spark, config, p) -> DCSDataset:
-    g1, g2 = titles.keyword_graphs(spark, p["n1"], p["n2"], p["n_filler"])
-    gd = diff.difference(g1, g2)
-    if config == "disappearing":
-        gd = diff.flip(gd)
-    n = len(titles.vocabulary(p["n_filler"]))
-    planted = {
-        "pairs": [list(t) for t in titles.PAIR_TOPICS],
-        "triples": [list(t) for t in titles.TRIPLE_TOPICS],
-    }
-    return DCSDataset("dm", config, "", gd, n, labels=None, planted=planted)
-
-
-def _build_wiki(spark, config, p) -> DCSDataset:
-    g1, g2, ranges = signed.interaction_graphs(
-        spark, n=p["n"], bg_edges=p["bg_edges"],
-        n_big_cons=p["n_big_cons"], n_big_conf=p["n_big_conf"],
-    )
-    # Consistent: G1 - G2 (positive interactions dominate).
-    gd = diff.difference(g2, g1)  # difference(a, b) = b - a
-    if config == "conflicting":
-        gd = diff.flip(gd)
-    return DCSDataset("wiki", config, "", gd, p["n"], planted=ranges)
-
-
-def _build_douban(spark, kind, config, p) -> DCSDataset:
-    social, interest, planted = douban.douban_graphs(
-        spark, kind, n=p["n"], scale=p["scale"]
-    )
-    gd = diff.difference(social, interest)  # interest - social
-    if config == "social-interest":
-        gd = diff.flip(gd)
-    return DCSDataset(kind, config, "", gd, p["n"], planted=planted)
-
-
-def _build_dblpc(spark, config, p) -> DCSDataset:
-    g1, g2 = bigco.dblpc_graphs(spark, p["n"], p["bg_pairs"])
-    gd = diff.difference(g1, g2)
-    if config == "discrete":
-        gd = diff.discretize(gd)
-    return DCSDataset("dblpc", config, "", gd, p["n"],
-                      planted=dict(bigco.DBLPC_PLANTED))
-
-
-def _build_actor(spark, config, p) -> DCSDataset:
-    gd = diff.canonicalize(bigco.actor_graph(spark, p["n"], p["bg_pairs"]))
-    if config == "discrete":
-        gd = diff.cap_weights(gd, 10.0)
-    return DCSDataset("actor", config, "", gd, p["n"],
-                      planted=dict(bigco.ACTOR_PLANTED))

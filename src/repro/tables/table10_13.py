@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from ..core.dcsad import dcs_greedy, greedy_only
+from ..core.dcsad import dcs_greedy
 from ..core.metrics import edge_density, is_positive_clique
 from ..core.newsea import newsea
 from ..datasets import CONFIGS, get_dataset
@@ -32,8 +32,8 @@ def run_avg_degree(spark: SparkSession, families: list,
             ds = get_dataset(spark, fam, cfg, scale)
             g = ds.local
             r = dcs_greedy(g)
-            s_gd, rho_gd, pc_gd = greedy_only(g, positive=False)
-            s_gp, rho_gp, pc_gp = greedy_only(g, positive=True)
+            s_gd, rho_gd = r.candidates["greedy_gd"]
+            s_gp, rho_gp = r.candidates["greedy_gdplus"]
             rows.append(
                 {
                     "data": fam, "gd_type": cfg,
@@ -41,9 +41,9 @@ def run_avg_degree(spark: SparkSession, families: list,
                     "dcsg_ratio": r.ratio,
                     "dcsg_pos_clique": is_positive_clique(g, r.S),
                     "gd_size": len(s_gd), "gd_rho": rho_gd,
-                    "gd_pos_clique": pc_gd,
+                    "gd_pos_clique": is_positive_clique(g, s_gd),
                     "gdp_size": len(s_gp), "gdp_rho": rho_gp,
-                    "gdp_pos_clique": pc_gp,
+                    "gdp_pos_clique": is_positive_clique(g, s_gp),
                 }
             )
     return rows

@@ -2,7 +2,9 @@
 import pytest
 from pyspark.sql import functions as F
 
+from repro import datasets
 from repro.datasets import CONFIGS, DCSDataset, all_configs, get_dataset
+from repro.graphgen import coauthor
 
 
 def test_all_configs_count():
@@ -24,6 +26,26 @@ def test_cache_returns_same_object(spark):
 def test_local_graph_padded_to_n(spark):
     ds = get_dataset(spark, "dblp", "weighted-emerging", "test")
     assert ds.local.n == ds.n
+
+
+def test_local_ids_are_endpoints_then_missing_ids(spark):
+    """Padding appends the isolated ids, so endpoint indices do not move."""
+    ds = get_dataset(spark, "dblp", "discrete-emerging", "test")
+    ends = sorted({v for r in ds.edges.collect() for v in (r.src, r.dst)})
+    missing = sorted(set(range(ds.n)) - set(ends))
+    assert missing  # the dataset has isolated vertices to pad
+    assert ds.local.ids == ends + missing
+
+
+def test_generator_runs_once_per_family(spark, monkeypatch):
+    calls = []
+    events = coauthor.events
+    monkeypatch.setattr(coauthor, "events",
+                        lambda *a, **k: calls.append(1) or events(*a, **k))
+    monkeypatch.setattr(datasets, "_CACHE", {})
+    for cfg in CONFIGS["dblp"]:
+        get_dataset(spark, "dblp", cfg, "test")
+    assert len(calls) == 1
 
 
 def test_flip_pairs_are_mirrors(spark):

@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.core.dcsad import dcs_greedy, greedy_only
+from repro.core.dcsad import dcs_greedy
 from repro.core.metrics import avg_degree
 from repro.graph.local import from_edge_pandas
 
@@ -97,8 +97,9 @@ def test_data_dependent_ratio_bound(seed):
 
 def test_greedy_only_variants():
     g = fig1_difference_graph()
-    s_gd, rho_gd, pc = greedy_only(g, positive=False)
-    s_gp, rho_gp, pc_p = greedy_only(g, positive=True)
+    candidates = dcs_greedy(g).candidates
+    s_gd, rho_gd = candidates["greedy_gd"]
+    s_gp, rho_gp = candidates["greedy_gdplus"]
     assert rho_gd == pytest.approx(avg_degree(g, s_gd))
     assert rho_gp == pytest.approx(avg_degree(g, s_gp))
     # Greedy on G_D+ ignores the negative edges; evaluated in G_D its
