@@ -8,7 +8,11 @@ positive-clique embedding whose support contains ``u`` (Theorem 6 with
 * ``tau_u`` — the core number of ``u``, by bucket peeling;
 * ``w_u`` — the max weight over edges with at least one endpoint in the
   closed ego net ``T_u = {u} ∪ N(u)``, i.e. ``max(m_u, max_{v in N(u)} m_v)``
-  with ``m_v`` the max incident weight of ``v``.
+  with ``m_v`` the max incident weight of ``v`` (:func:`max_incident_weight`).
+
+``m_u`` itself is not a bound on uniform embeddings, so it stays out of
+``mu_u``. NewSEA caps ``mu_u`` with it, because it does bound the f of any
+KKT point whose support holds ``u`` (see :mod:`repro.core.newsea`).
 """
 from __future__ import annotations
 
@@ -49,11 +53,18 @@ def core_numbers_exact(g: LocalGraph) -> dict:
     return core
 
 
-def egonet_max_weight_local(g: LocalGraph) -> dict:
-    """{index: w_u} for every non-isolated vertex of a positive graph."""
-    m = {
-        i: max(g.adj[i].values()) for i in range(g.n) if g.adj[i]
-    }
+def max_incident_weight(g: LocalGraph) -> dict:
+    """{index: m_u}, u's largest incident weight, for non-isolated u."""
+    return {i: max(g.adj[i].values()) for i in range(g.n) if g.adj[i]}
+
+
+def egonet_max_weight_local(g: LocalGraph, m: dict | None = None) -> dict:
+    """{index: w_u} for every non-isolated vertex of a positive graph.
+
+    ``m`` is :func:`max_incident_weight` of ``g``, if already computed.
+    """
+    if m is None:
+        m = max_incident_weight(g)
     out = {}
     for i, mi in m.items():
         w = mi
@@ -64,10 +75,13 @@ def egonet_max_weight_local(g: LocalGraph) -> dict:
     return out
 
 
-def smart_init_bounds_local(gdp: LocalGraph) -> dict:
-    """{internal index: mu_u} for every non-isolated vertex of G_D+."""
+def smart_init_bounds_local(gdp: LocalGraph, m: dict | None = None) -> dict:
+    """{internal index: mu_u} for every non-isolated vertex of G_D+.
+
+    ``m`` is :func:`max_incident_weight` of ``gdp``, if already computed.
+    """
     tau = core_numbers_exact(gdp)
-    w = egonet_max_weight_local(gdp)
+    w = egonet_max_weight_local(gdp, m)
     return {
         u: tau[u] * w[u] / (tau[u] + 1.0) for u in tau if u in w
     }

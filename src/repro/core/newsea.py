@@ -4,9 +4,11 @@ All three run on ``G_D+`` (Theorem 5 guarantees an optimal positive-clique
 solution exists there):
 
 * :func:`newsea` — smart initialization: per-vertex upper bounds
-  ``mu_u = tau_u * w_u / (tau_u + 1)`` (Theorem 6 + core-number bound),
-  vertices tried in descending ``mu`` order, early exit when
-  ``mu_u <= f(best)``.
+  ``b_u = min(mu_u, m_u)``, with ``mu_u = tau_u * w_u / (tau_u + 1)``
+  (Theorem 6 + core-number bound) and ``m_u`` u's largest incident weight;
+  vertices tried in descending ``b`` order, early exit when
+  ``b_u <= f(best)``; the best embedding is then polished to a tight KKT
+  point on its support.
 * :func:`seacd_refine_full` — SEACD+Refine from every vertex (the paper's
   "SEACD+Refine" baseline); also returns every distinct positive clique
   found, which Tables V/VI/Fig. 3 consume.
@@ -18,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.local import LocalGraph
-from .cd import objective
-from .kbounds import smart_init_bounds_local
+from .cd import init_state, local_kkt, objective
+from .kbounds import max_incident_weight, smart_init_bounds_local
 from .refine import refine
 from .sea import sea
 from .seacd import seacd
@@ -35,11 +37,11 @@ class DCSGAResult:
 
 
 def _multi_start(gdp: LocalGraph, order, use_sea: bool,
-                 mu: dict | None = None) -> DCSGAResult:
+                 bound: dict | None = None) -> DCSGAResult:
     """SEACD (or SEA) + Refine from each start vertex in ``order``.
 
-    With ``mu``, stops at the first start whose bound ``mu[u]`` cannot beat
-    the best f found. Collects every distinct positive clique found.
+    With ``bound``, stops at the first start whose bound ``bound[u]`` cannot
+    beat the best f found. Collects every distinct positive clique found.
     """
     best_x: dict = {}
     best_f = 0.0
@@ -47,7 +49,7 @@ def _multi_start(gdp: LocalGraph, order, use_sea: bool,
     errors = 0
     cliques: dict = {}
     for u in order:
-        if mu is not None and mu[u] <= best_f:
+        if bound is not None and bound[u] <= best_f:
             break
         inits += 1
         # Looked up at call time, so a patched seacd/sea/refine is used.
@@ -73,11 +75,28 @@ def _multi_start(gdp: LocalGraph, order, use_sea: bool,
 def newsea(gdp: LocalGraph) -> DCSGAResult:
     """Algorithm 5 on the positive part of the difference graph.
 
-    The bounds come from :func:`repro.core.kbounds.smart_init_bounds_local`.
+    Each start u is bounded by ``min(mu_u, m_u)``: ``mu_u`` from
+    :func:`repro.core.kbounds.smart_init_bounds_local`, ``m_u`` u's largest
+    incident weight. ``m_u`` is valid for the KKT points the starts reach:
+    at one whose support holds u, ``f = (Dx)_u = sum_{v != u} D_uv x_v
+    <= m_u (1 - x_u) <= m_u``.
+
+    The loop stops SEACD at the paper's loose 1e-2/|S| gap, so with fewer
+    starts the best clique may be reached from a start that leaves f a
+    little below the clique's optimum. One final 2-CD pass on the best
+    support, at a gap of 1e-12 times the largest weight, closes that.
     """
-    mu = smart_init_bounds_local(gdp)
-    order = sorted(mu, key=mu.__getitem__, reverse=True)
-    return _multi_start(gdp, order, use_sea=False, mu=mu)
+    m = max_incident_weight(gdp)
+    mu = smart_init_bounds_local(gdp, m)
+    # A conditional, not min(): this runs once per vertex, and a call to
+    # min() doubles its cost.
+    bound = {u: mu_u if mu_u < m[u] else m[u] for u, mu_u in mu.items()}
+    order = sorted(bound, key=bound.__getitem__, reverse=True)
+    res = _multi_start(gdp, order, use_sea=False, bound=bound)
+    x, p = init_state(gdp, res.x)
+    local_kkt(gdp, x, p, sorted(x), tol=1e-12 * max(m.values(), default=1.0))
+    res.x, res.f = x, objective(x, p)
+    return res
 
 
 def seacd_refine_full(gdp: LocalGraph) -> DCSGAResult:

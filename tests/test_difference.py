@@ -11,7 +11,8 @@ from repro.graph.difference import (
     flip,
     positive_part,
 )
-from repro.oracle import assert_equivalent
+
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ from pyspark.sql import functions as F
 
 from repro.graph.difference import difference
 from repro.graphgen import coauthor
-from repro.oracle import assert_equivalent
+
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graphgen import titles
-from repro.oracle import assert_equivalent
+
+from tests.oracle import assert_equivalent
 
 N1, N2, NF = 1000, 1200, 80
 

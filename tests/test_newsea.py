@@ -49,6 +49,20 @@ def test_newsea_matches_full_init_quality():
         assert r_new.f >= r_full.f - 1e-6
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_newsea_returns_tight_kkt_point(seed):
+    """The polished NewSEA embedding is a KKT point on its support to far
+    below the paper's 1e-2/|S| gap, and no worse than full-init."""
+    g = random_positive_graph(14, 0.45, seed + 50, w_hi=20.0)
+    scale = max(w for a in g.adj for w in a.values())
+    r = newsea(g)
+    p = [sum(w * r.x.get(v, 0.0) for v, w in g.adj[u].items()) for u in r.x]
+    assert 2.0 * (max(p) - min(p)) <= 1e-9 * scale
+    assert r.f == pytest.approx(affinity(g, r.x), rel=1e-12)
+    full = seacd_refine_full(g)
+    assert r.f >= full.f - 1e-12 * full.f
+
+
 def test_newsea_runs_fewer_inits_on_skewed_graph():
     """One dominant edge: the smart bound prunes almost every start."""
     triples = [(0, 1, 50.0)]
