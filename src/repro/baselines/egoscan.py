@@ -12,11 +12,11 @@ fixed point for this objective:
 * drop any member whose weighted degree inside S is negative,
 
 repeated until stable (each step strictly increases ``W_D(S)``, so the
-search terminates). Seeds are the top-``k`` vertices by positive degree.
-This reproduces the qualitative behaviour reported in Tables VIII/IX:
-much larger subgraphs with much larger ``W_D(S)`` but far lower
-average-degree / edge-density difference than the DCS algorithms, at a
-higher runtime than DCSGreedy.
+search terminates; 200k steps cap it regardless). Seeds are the top-25
+vertices by positive degree. This reproduces the qualitative behaviour
+reported in Tables VIII/IX: much larger subgraphs with much larger
+``W_D(S)`` but far lower average-degree / edge-density difference than
+the DCS algorithms, at a higher runtime than DCSGreedy.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ class EgoScanResult:
     n_edges: int
 
 
-def _local_search(g: LocalGraph, seed_set: set, max_steps: int = 200_000) -> set:
+def _local_search(g: LocalGraph, seed_set: set) -> set:
     S = set(seed_set)
     # deg[v] = weighted degree of v into S, maintained incrementally for
     # both members and the boundary.
@@ -40,7 +40,7 @@ def _local_search(g: LocalGraph, seed_set: set, max_steps: int = 200_000) -> set
     for u in S:
         for v, w in g.adj[u].items():
             deg[v] = deg.get(v, 0.0) + w
-    for _ in range(max_steps):
+    for _ in range(200_000):
         drop = None
         drop_val = -1e-12
         add = None
@@ -64,14 +64,14 @@ def _local_search(g: LocalGraph, seed_set: set, max_steps: int = 200_000) -> set
     return S
 
 
-def egoscan(gd: LocalGraph, n_seeds: int = 25) -> EgoScanResult:
+def egoscan(gd: LocalGraph) -> EgoScanResult:
     """Best subgraph by total weight over ego-net-seeded local searches."""
     pos_deg = {
         v: sum(w for w in gd.adj[v].values() if w > 0)
         for v in range(gd.n)
         if gd.adj[v]
     }
-    seeds = sorted(pos_deg, key=pos_deg.__getitem__, reverse=True)[:n_seeds]
+    seeds = sorted(pos_deg, key=pos_deg.__getitem__, reverse=True)[:25]
     best: set = set()
     best_w = 0.0
     for s in seeds:

@@ -10,7 +10,7 @@ maximizing ``2 zeta tau - a tau^2`` gives ``zeta / a``). The result stays
 on the simplex by construction.
 
 ``level`` is the value lambda/2 the formulas assume every supported
-gradient equals. SEACD uses the default, the exact ``f = x' D x``
+gradient equals. SEACD passes the exact ``f = x' D x``
 (the appendix's ``grad_i f - f`` equals ``(Dx)_i - f`` up to the shared
 factor of 2). The original SEA passes lambda/2 estimated from the
 support gradients; that estimate is exact only at a true local KKT point.
@@ -18,33 +18,21 @@ support gradients; that estimate is exact only at a true local KKT point.
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
-from .cd import apply_delta, objective
+from .cd import apply_delta
 
 
-def expansion_candidates(g: LocalGraph, x: dict, p: dict,
-                         tol: float = 1e-9, level: float | None = None
+def expansion_candidates(g: LocalGraph, x: dict, p: dict, level: float
                          ) -> list:
-    """Z = vertices outside the support with (Dx)_i > level (+tol).
-
-    ``level`` defaults to the exact objective f(x).
-    """
-    if level is None:
-        level = objective(x, p)
+    """Z = vertices outside the support with (Dx)_i > level + 1e-9."""
     return [
         i
         for i, pi in p.items()
-        if pi > level + tol and x.get(i, 0.0) <= 0.0
+        if pi > level + 1e-9 and x.get(i, 0.0) <= 0.0
     ]
 
 
-def expand(g: LocalGraph, x: dict, p: dict, Z: list,
-           level: float | None = None) -> None:
-    """Apply one SEA Expansion step in place; no-op unless sum(gamma) > 0.
-
-    ``level`` defaults to the exact objective f(x).
-    """
-    if level is None:
-        level = objective(x, p)
+def expand(g: LocalGraph, x: dict, p: dict, Z: list, level: float) -> None:
+    """Apply one SEA Expansion step in place; no-op unless sum(gamma) > 0."""
     gamma = {i: p.get(i, 0.0) - level for i in Z}
     s = sum(gamma.values())
     if s <= 0.0:

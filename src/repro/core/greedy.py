@@ -19,26 +19,23 @@ import heapq
 from ..graph.local import LocalGraph
 
 
-def greedy_peel(g: LocalGraph, vertices=None) -> tuple[list, float]:
-    """Run Algorithm 1 on (the induced subgraph of) ``g``.
+def greedy_peel(g: LocalGraph) -> tuple[list, float]:
+    """Run Algorithm 1 on ``g``.
 
     Returns ``(S, rho)`` where S is the internal-index set of the best
     prefix and rho its average degree W(S)/|S|. Ties keep the earlier
     (larger) prefix, matching the strict-improvement test in Algorithm 1.
     """
-    if vertices is None:
-        vertices = range(g.n)
-    alive = set(vertices)
+    alive = set(range(g.n))
     if not alive:
         return [], 0.0
     deg = {v: 0.0 for v in alive}
-    total = 0.0  # sum of unordered edge weights among alive
+    total = 0.0  # sum of unordered edge weights
     for v in alive:
         for u, w in g.adj[v].items():
-            if u in alive:
-                deg[v] += w
-                if u < v:
-                    total += w
+            deg[v] += w
+            if u < v:
+                total += w
     heap = [(d, v) for v, d in deg.items()]
     heapq.heapify(heap)
     order = []  # removal order
@@ -70,7 +67,5 @@ def greedy_peel(g: LocalGraph, vertices=None) -> tuple[list, float]:
     if 0.0 > best_rho:
         best_rho, best_size = 0.0, 1
     # Reconstruct the best prefix: all vertices minus the first removals.
-    all_v = set(vertices)
-    removed_before_best = order[: len(all_v) - best_size]
-    S = sorted(all_v.difference(removed_before_best))
+    S = sorted(set(range(g.n)).difference(order[: g.n - best_size]))
     return S, best_rho

@@ -30,26 +30,18 @@ def core_numbers_exact(g: LocalGraph) -> dict:
         buckets[d].add(v)
     core: dict = {}
     cur = dict(deg)
-    k = 0
-    removed = set()
     for d in range(max_deg + 1):
         while buckets[d]:
+            # cur[v] == d: a demotion never takes a vertex below the
+            # bucket being drained, and a peeled vertex is never re-added
+            # (its cur is at most that of every later pop).
             v = buckets[d].pop()
-            if v in removed:
-                continue
-            k = max(k, cur[v])
-            core[v] = k
-            removed.add(v)
+            core[v] = d
             for u in g.adj[v]:
-                if u in removed or u not in cur:
-                    continue
-                if cur[u] > cur[v]:
+                if cur[u] > d:
                     buckets[cur[u]].discard(u)
                     cur[u] -= 1
                     buckets[cur[u]].add(u)
-            # vertices demoted below d are revisited because bucket d's
-            # loop continues until empty and lower buckets were drained;
-            # demotion never goes below cur[v] so bucket order is safe.
     return core
 
 

@@ -45,11 +45,6 @@ def affinity(g: LocalGraph, x: dict) -> float:
     return f
 
 
-def support(x: dict, tol: float = 0.0) -> list:
-    """Support set S_x = {u : x_u > tol}."""
-    return sorted(i for i, v in x.items() if v > tol)
-
-
 def non_positive_pair(g: LocalGraph, S):
     """First pair (u, v) of S, in S's order, with weight <= 0; else None."""
     S = list(S)

@@ -56,11 +56,11 @@ def _support_level(x: dict, p: dict) -> float:
     return sum(p.get(u, 0.0) for u in support) / len(support)
 
 
-def sea(g: LocalGraph, start_vertex: int, eps: float = 1e-6,
-        max_outer: int = 100) -> tuple[dict, dict, SEAStats]:
+def sea(g: LocalGraph, start_vertex: int, max_outer: int = 100
+        ) -> tuple[dict, dict, SEAStats]:
     """Original SEA from the e_u initialization; returns (x, p, stats)."""
     return shrink_and_expand(
         g, {start_vertex: 1.0},
-        lambda x, p: replicator_shrink(g, x, p, eps=eps),
+        lambda x, p: replicator_shrink(g, x, p),
         level=_support_level, max_outer=max_outer,
     )

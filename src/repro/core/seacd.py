@@ -41,7 +41,7 @@ def shrink_and_expand(g: LocalGraph, x0: dict, shrink, level=None,
         stats.outer_iters += 1
         stats.shrink_iters += shrink(x, p)
         f_before = objective(x, p)
-        lam2 = None if level is None else level(x, p)
+        lam2 = f_before if level is None else level(x, p)
         Z = expansion_candidates(g, x, p, level=lam2)
         if not Z:
             break
@@ -57,20 +57,15 @@ def shrink_and_expand(g: LocalGraph, x0: dict, shrink, level=None,
     return x, p, stats
 
 
-def seacd(g: LocalGraph, start_vertex: int | None = None,
-          x0: dict | None = None, max_outer: int = 500
+def seacd(g: LocalGraph, start_vertex: int, max_outer: int = 500
           ) -> tuple[dict, dict, SEAStats]:
-    """Run SEACD on (a positive-part) LocalGraph from a sparse start.
+    """Run SEACD on (a positive-part) LocalGraph from the e_u start.
 
-    Returns (x, p, stats). ``start_vertex`` gives the e_u initialization
-    of Section V-D; ``x0`` may supply an arbitrary sparse embedding.
+    Returns (x, p, stats). ``start_vertex`` is the u of the e_u
+    initialization of Section V-D.
     """
-    if x0 is None:
-        if start_vertex is None:
-            raise ValueError("need start_vertex or x0")
-        x0 = {start_vertex: 1.0}
-
     def shrink(x: dict, p: dict) -> int:
-        return local_kkt(g, x, p, list(x.keys()) or list(x0.keys()))
+        return local_kkt(g, x, p, list(x.keys()))
 
-    return shrink_and_expand(g, x0, shrink, max_outer=max_outer)
+    return shrink_and_expand(g, {start_vertex: 1.0}, shrink,
+                             max_outer=max_outer)

@@ -76,10 +76,6 @@ class DCSDataset:
             self._local = from_edge_pandas(pdf, ids)
         return self._local
 
-    def planted_indices(self, name: str) -> list:
-        g = self.local
-        return sorted(g.index[v] for v in self.planted[name] if v in g.index)
-
 
 def _dblp(spark, scale):
     p = _SCALES[scale]["dblp"]
@@ -92,8 +88,7 @@ def _dm(spark, scale):
     g1, g2 = dm_single_graphs(spark, scale)
     planted = {"pairs": [list(t) for t in titles.PAIR_TOPICS],
                "triples": [list(t) for t in titles.TRIPLE_TOPICS]}
-    n = len(titles.vocabulary(_SCALES[scale]["dm"]["n_filler"]))
-    return diff.difference(g1, g2), n, planted, None
+    return diff.difference(g1.edges, g2.edges), g1.n, planted, None
 
 
 def _wiki(spark, scale):
@@ -172,11 +167,18 @@ def all_configs():
 
 
 def dm_single_graphs(spark: SparkSession, scale: str = "test"
-                     ) -> tuple[DataFrame, DataFrame]:
-    """The two DM keyword graphs (Table VI); DM's G_D is their difference."""
+                     ) -> tuple[DCSDataset, DCSDataset]:
+    """The two DM keyword graphs (Table VI); DM's G_D is their difference.
+
+    Their ids are keyword strings, so ``local`` adds no isolated vertices.
+    """
     key = ("dm-single", scale)
     if key not in _CACHE:
-        g1, g2 = titles.keyword_graphs(spark, **_SCALES[scale]["dm"])
-        _CACHE[key] = (diff.canonicalize(g1).localCheckpoint(eager=True),
-                       diff.canonicalize(g2).localCheckpoint(eager=True))
+        p = _SCALES[scale]["dm"]
+        n = len(titles.vocabulary(p["n_filler"]))
+        _CACHE[key] = tuple(
+            DCSDataset("dm", era, scale,
+                       diff.canonicalize(g).localCheckpoint(eager=True), n)
+            for era, g in zip(("G1", "G2"),
+                              titles.keyword_graphs(spark, **p)))
     return _CACHE[key]

@@ -4,9 +4,11 @@ All edge DataFrames in this codebase are *canonical*: columns
 ``src, dst, weight`` with ``src < dst`` and one row per unordered edge.
 ``canonicalize`` enforces that invariant (summing duplicate orientations),
 ``difference`` full-outer-joins two graphs into ``G_D`` with
-``D = A2 - A1``, ``positive_part`` filters to ``G_D+``, ``flip`` negates
-weights (Emerging <-> Disappearing), and ``discretize`` applies the
-paper's Discrete-setting weight mapping.
+``D = A2 - A1``, ``flip`` negates weights (Emerging <-> Disappearing), and
+``discretize`` and ``cap_weights`` apply the Discrete-setting weight
+mappings. ``G_D+`` is not built here: the driver's
+:meth:`repro.graph.local.LocalGraph.positive_part` filters the collected
+graph.
 """
 from __future__ import annotations
 
@@ -14,13 +16,12 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def canonicalize(edges: DataFrame, src: str = "src", dst: str = "dst",
-                 weight: str = "weight") -> DataFrame:
-    """Normalize to (src<dst, weight) with duplicate orientations summed."""
+def canonicalize(edges: DataFrame) -> DataFrame:
+    """Normalize (src, dst, weight) to src < dst, summing duplicates."""
     e = edges.select(
-        F.least(F.col(src), F.col(dst)).alias("src"),
-        F.greatest(F.col(src), F.col(dst)).alias("dst"),
-        F.col(weight).cast("double").alias("weight"),
+        F.least("src", "dst").alias("src"),
+        F.greatest("src", "dst").alias("dst"),
+        F.col("weight").cast("double").alias("weight"),
     ).where(F.col("src") != F.col("dst"))
     return e.groupBy("src", "dst").agg(F.sum("weight").alias("weight"))
 
@@ -47,22 +48,16 @@ def difference(g1: DataFrame, g2: DataFrame, alpha: float = 1.0) -> DataFrame:
     return d
 
 
-def positive_part(gd: DataFrame) -> DataFrame:
-    """G_D+ — keep only edges with strictly positive weight."""
-    return gd.where(F.col("weight") > 0.0)
-
-
 def flip(gd: DataFrame) -> DataFrame:
     """Negate all weights (swap the roles of G1 and G2)."""
     return gd.withColumn("weight", -F.col("weight"))
 
 
-def discretize(gd: DataFrame, *, hi: float = 5.0, lo: float = 2.0,
-               neg: float = -4.0) -> DataFrame:
+def discretize(gd: DataFrame) -> DataFrame:
     """The paper's Discrete setting (Section VI-B).
 
-    w >= hi -> 2; lo <= w < hi -> 1; 0 < w < lo -> dropped;
-    neg < w < 0 -> -1; w <= neg -> -2. The asymmetry (small positive
+    w >= 5 -> 2; 2 <= w < 5 -> 1; 0 < w < 2 -> dropped;
+    -4 < w < 0 -> -1; w <= -4 -> -2. The asymmetry (small positive
     diffs dropped, small negative kept) follows the paper's stated rule and
     reproduces the m+ << m- asymmetry of Table II's DBLP Discrete rows.
     """
@@ -70,10 +65,10 @@ def discretize(gd: DataFrame, *, hi: float = 5.0, lo: float = 2.0,
     return (
         gd.withColumn(
             "weight",
-            F.when(w >= hi, F.lit(2.0))
-            .when(w >= lo, F.lit(1.0))
+            F.when(w >= 5.0, F.lit(2.0))
+            .when(w >= 2.0, F.lit(1.0))
             .when(w > 0.0, F.lit(0.0))
-            .when(w > neg, F.lit(-1.0))
+            .when(w > -4.0, F.lit(-1.0))
             .otherwise(F.lit(-2.0)),
         )
         .where(F.col("weight") != 0.0)

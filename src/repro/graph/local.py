@@ -6,18 +6,20 @@ descent, replicator dynamics) run on the driver over a collected
 :class:`LocalGraph`. Support sets touched by those algorithms are tiny,
 which is the paper's own efficiency argument (Section V-B).
 
-Vertices are externally arbitrary integer ids; internally they are
-re-indexed to ``0..n-1``. Isolated vertices (present in the vertex
-universe but incident to no difference edge) are kept so that ``n``
-matches the paper's Table II accounting.
+Vertices have arbitrary external ids (integers, or keyword strings for
+the DM single graphs); internally they are re-indexed to ``0..n-1``. The
+one driver collect is :attr:`repro.datasets.DCSDataset.local`, which
+pads integer-id graphs with their isolated vertices (present in the
+vertex universe but incident to no difference edge) so that ``n``
+matches the paper's Table II accounting. ``G_D+`` is built here, by
+:meth:`LocalGraph.positive_part`, not in Spark.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 @dataclass
@@ -26,7 +28,6 @@ class LocalGraph:
 
     n: int
     ids: list  # index -> external id
-    index: dict  # external id -> index
     adj: list  # index -> dict {neighbor index: weight}
 
     @property
@@ -41,7 +42,7 @@ class LocalGraph:
     def positive_part(self) -> "LocalGraph":
         """The graph G_D+ keeping only edges with strictly positive weight."""
         adj = [{j: w for j, w in a.items() if w > 0} for a in self.adj]
-        return LocalGraph(self.n, self.ids, self.index, adj)
+        return LocalGraph(self.n, self.ids, adj)
 
     def subgraph_weight(self, S) -> float:
         """Sum of unordered edge weights inside S (internal indices)."""
@@ -99,10 +100,4 @@ def from_edge_pandas(edges: pd.DataFrame, ids: list | None = None
         i, j = index[s], index[d]
         adj[i][j] = adj[i].get(j, 0.0) + w
         adj[j][i] = adj[j].get(i, 0.0) + w
-    return LocalGraph(len(ids), list(ids), index, adj)
-
-
-def collect_graph(edges: DataFrame) -> LocalGraph:
-    """Collect a Spark canonical edge DataFrame (src, dst, weight) to the driver."""
-    pdf = edges.select("src", "dst", "weight").toPandas()
-    return from_edge_pandas(pdf)
+    return LocalGraph(len(ids), list(ids), adj)

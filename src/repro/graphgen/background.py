@@ -11,9 +11,11 @@ import numpy as np
 import pandas as pd
 
 
-def chung_lu_pairs(n: int, m: int, *, exponent: float = 2.5, seed: int = 0,
+def chung_lu_pairs(n: int, m: int, *, seed: int = 0,
                    id_offset: int = 0) -> pd.DataFrame:
     """~m distinct undirected pairs with power-law expected degrees.
+
+    Expected degrees follow rank^(-1/1.5), a degree exponent of 2.5.
 
     Returns a pandas DataFrame with columns ``src < dst`` drawn from
     ``id_offset .. id_offset + n - 1``. Self-loops and duplicates are
@@ -21,7 +23,7 @@ def chung_lu_pairs(n: int, m: int, *, exponent: float = 2.5, seed: int = 0,
     """
     g = np.random.default_rng(seed)
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    w = ranks ** (-1.0 / (exponent - 1.0))
+    w = ranks ** (-1.0 / 1.5)
     p = w / w.sum()
     a = g.choice(n, size=2 * m, p=p)
     b = g.choice(n, size=2 * m, p=p)

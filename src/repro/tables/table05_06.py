@@ -14,7 +14,6 @@ from pyspark.sql import SparkSession
 
 from ..core.newsea import dedup_cliques, seacd_refine_full
 from ..datasets import dm_single_graphs, get_dataset
-from ..graph.local import collect_graph
 
 COLUMNS = ["gd_type", "rank", "topic", "affinity"]
 
@@ -42,10 +41,9 @@ def run_table5(spark: SparkSession, scale: str = "bench") -> list:
 
 
 def run_table6(spark: SparkSession, scale: str = "bench") -> list:
-    g1, g2 = dm_single_graphs(spark, scale)
     rows = []
-    for name, gdf in (("G1 (early)", g1), ("G2 (recent)", g2)):
-        local = collect_graph(gdf).positive_part()
-        for r in _top5(local):
+    for name, ds in zip(("G1 (early)", "G2 (recent)"),
+                        dm_single_graphs(spark, scale)):
+        for r in _top5(ds.local.positive_part()):
             rows.append({"gd_type": name, **r})
     return rows

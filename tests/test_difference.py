@@ -9,7 +9,6 @@ from repro.graph.difference import (
     difference,
     discretize,
     flip,
-    positive_part,
 )
 
 from tests.oracle import assert_equivalent
@@ -86,13 +85,6 @@ def test_difference_alpha(spark, g1_pdf, g2_pdf):
     rows = {(r["src"], r["dst"]): r["weight"] for r in gd.collect()}
     assert rows[(2, 3)] == 5.0 - 2 * 2.0
     assert rows[(1, 2)] == 1.0 - 2 * 1.0
-
-
-def test_positive_part(spark, g1_pdf, g2_pdf):
-    gd = difference(spark.createDataFrame(g1_pdf), spark.createDataFrame(g2_pdf))
-    pos = positive_part(gd)
-    assert pos.where(F.col("weight") <= 0).count() == 0
-    assert pos.count() == 3
 
 
 def test_flip(spark, g1_pdf, g2_pdf):

@@ -39,7 +39,7 @@ def test_local_optimality_and_upper_bound(seed):
     g = random_signed_graph(9, 0.5, seed + 70)
     if g.m == 0:
         pytest.skip("empty sample")
-    r = egoscan(g, n_seeds=g.n)
+    r = egoscan(g)  # n = 9 < 25 seeds, so every vertex seeds a search
     _, opt = brute_force_max_total(g)
     assert r.total_weight <= 2 * opt + 1e-9
     assert r.total_weight >= 0.0

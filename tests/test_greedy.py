@@ -45,16 +45,9 @@ def test_all_negative_graph():
 
 
 def test_empty_vertex_set():
-    g = graph_from_triples([(0, 1, 1.0)])
-    S, rho = greedy_peel(g, vertices=[])
+    g = graph_from_triples([], n=0)
+    S, rho = greedy_peel(g)
     assert S == [] and rho == 0.0
-
-
-def test_restricted_vertices():
-    g = graph_from_triples([(0, 1, 10.0), (2, 3, 1.0)])
-    S, rho = greedy_peel(g, vertices=[2, 3])
-    assert S == [2, 3]
-    assert rho == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("seed", range(8))

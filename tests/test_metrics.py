@@ -7,7 +7,6 @@ from repro.core.metrics import (
     edge_density,
     is_positive_clique,
     non_positive_pair,
-    support,
     total_degree,
     uniform_embedding,
 )
@@ -57,10 +56,6 @@ def test_avg_degree_empty():
 def test_affinity_ignores_outside_edges(clique):
     x = {0: 0.5, 1: 0.5}
     assert affinity(clique, x) == pytest.approx(1.5)
-
-
-def test_support():
-    assert support({0: 0.5, 1: 0.0, 2: 0.5}) == [0, 2]
 
 
 def test_is_positive_clique():

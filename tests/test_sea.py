@@ -60,7 +60,7 @@ def test_loose_convergence_can_err():
         for u in range(0, g.n, 5):
             if not g.adj[u]:
                 continue
-            _, _, st = sea(g, u, eps=1e-6)
+            _, _, st = sea(g, u)
             errs_loose += st.expansion_errors
             _, _, st2 = seacd(g, start_vertex=u)
             errs_seacd += st2.expansion_errors
