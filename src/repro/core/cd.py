@@ -1,8 +1,25 @@
 """2-Coordinate Descent to a local KKT point (paper Section V-B).
 
 State is kept sparse: ``x`` maps internal vertex index -> simplex value,
-``p`` maps index -> (D x)_i for every vertex with a supported neighbor
-(the gradient is ``2 p``). Each iteration picks
+and ``p`` holds (D x)_i for every vertex with a supported neighbor
+(the gradient is ``2 p``). ``p`` has two stores, picked per graph by
+:attr:`repro.graph.local.LocalGraph.rows`:
+
+* a dict ``{index: (Dx)_i}``, updated one neighbour at a time, on graphs
+  whose edge-weighted mean degree ``sum_u d_u^2 / sum_u d_u`` is below
+  32 (DBLP, DBLP-C, test-scale wiki, most Douban configs);
+* a :class:`DenseGradient`, a numpy vector updated one adjacency row at a
+  time, from 32 up (DM, actor, bench-scale wiki, the densest Douban
+  config), where it takes 0.4-0.7 of the dict store's time; at degree
+  16.5 and below it takes 1.2-3.6 times as long (the measured table is in
+  :mod:`repro.graph.local`).
+
+Both give bit-identical results: every entry receives the same IEEE
+products in the same order, the touched entries keep the dict's
+first-touch order, sums over the support run left to right, and the
+``local_kkt`` scan breaks ties toward the first vertex of ``S`` in both.
+Refinement and SEA read ``p`` only through ``get`` and ``clear``. Each
+iteration picks
 ``i = argmax_{k in S, x_k < 1} p_k`` and ``j = argmin_{k in S, x_k > 0} p_k``,
 solves the one-variable quadratic of Eq. 9 analytically, and updates
 ``x`` and ``p`` incrementally in ``O(|S| + deg(i) + deg(j))``.
@@ -12,38 +29,94 @@ Convergence follows the paper's experimental setting:
 """
 from __future__ import annotations
 
+import numpy as np
+
 from ..graph.local import LocalGraph
 
 EPS = 1e-12
 
 
-def apply_delta(g: LocalGraph, x: dict, p: dict, i: int, delta: float) -> None:
+class DenseGradient:
+    """p = D x of graph ``g`` as a dense vector; ``g.rows`` is not None.
+
+    ``vals[j]`` is (Dx)_j, exactly 0.0 where no applied row reaches j.
+    ``order[:size]`` lists the touched entries in first-touch order, which
+    is the key order the dict store would have.
+    """
+
+    __slots__ = ("row", "vals", "touched", "order", "size", "applied")
+
+    def __init__(self, g: LocalGraph) -> None:
+        n = g.n
+        self.row = g.row
+        self.vals = np.zeros(n)
+        self.touched = np.zeros(n, dtype=bool)
+        self.order = np.empty(n, dtype=np.int64)
+        self.size = 0
+        self.applied: set = set()  # vertices whose row is in ``order``
+
+    def add_row(self, i: int, delta: float) -> None:
+        """p += delta * D[i, :]."""
+        idx, w = self.row(i)
+        if i not in self.applied:
+            self.applied.add(i)
+            new = idx[~self.touched[idx]]
+            self.touched[new] = True
+            self.order[self.size:self.size + new.size] = new
+            self.size += new.size
+        self.vals[idx] += delta * w
+
+    def touched_order(self) -> np.ndarray:
+        """Touched indices in first-touch order."""
+        return self.order[:self.size]
+
+    def get(self, i: int, default: float = 0.0) -> float:
+        """(Dx)_i, or ``default`` if no applied row reaches i (as dict.get)."""
+        return self.vals.item(i) if self.touched[i] else default
+
+    def clear(self) -> None:
+        o = self.touched_order()
+        self.vals[o] = 0.0
+        self.touched[o] = False
+        self.size = 0
+        self.applied.clear()
+
+
+def apply_delta(g: LocalGraph, x: dict, p: dict | DenseGradient, i: int,
+                delta: float) -> None:
     """x_i += delta, maintaining p = D x for all neighbors of i."""
     if delta == 0.0:
         return
     x[i] = x.get(i, 0.0) + delta
     if x[i] < EPS:
         x.pop(i, None)
-    for j, w in g.adj[i].items():
-        p[j] = p.get(j, 0.0) + delta * w
+    if isinstance(p, dict):
+        for j, w in g.adj[i].items():
+            p[j] = p.get(j, 0.0) + delta * w
+    else:
+        p.add_row(i, delta)
 
 
-def objective(x: dict, p: dict) -> float:
+def objective(x: dict, p: dict | DenseGradient) -> float:
     """f(x) = x' D x = sum_u x_u (D x)_u."""
-    return sum(v * p.get(u, 0.0) for u, v in x.items())
+    if isinstance(p, dict):
+        return sum(v * p.get(u, 0.0) for u, v in x.items())
+    px = p.vals[list(x)].tolist()
+    return sum([v * pu for v, pu in zip(x.values(), px)])
 
 
-def init_state(g: LocalGraph, x0: dict) -> tuple[dict, dict]:
-    """Build (x, p) from a sparse initial embedding."""
+def init_state(g: LocalGraph, x0: dict) -> tuple[dict, dict | DenseGradient]:
+    """Build (x, p) from a sparse initial embedding, in ``g``'s store."""
     x: dict = {}
-    p: dict = {}
+    p = {} if g.rows is None else DenseGradient(g)
     for u, v in x0.items():
         if v > 0.0:
             apply_delta(g, x, p, u, v)
     return x, p
 
 
-def solve_pair(g: LocalGraph, x: dict, p: dict, i: int, j: int) -> float:
+def solve_pair(g: LocalGraph, x: dict, p: dict | DenseGradient, i: int,
+               j: int) -> float:
     """Optimally redistribute mass between x_i and x_j (Eq. 9).
 
     Returns the signed change applied to x_i (x_j changes by the negative).
@@ -83,8 +156,8 @@ def solve_pair(g: LocalGraph, x: dict, p: dict, i: int, j: int) -> float:
     return delta
 
 
-def local_kkt(g: LocalGraph, x: dict, p: dict, S, tol: float | None = None,
-              max_iter: int = 200_000) -> int:
+def local_kkt(g: LocalGraph, x: dict, p: dict | DenseGradient, S,
+              tol: float | None = None, max_iter: int = 200_000) -> int:
     """Drive (x, p) to a local KKT point on vertex set S; returns #iterations.
 
     Vertices outside S are never touched (their x stays 0), matching
@@ -95,6 +168,8 @@ def local_kkt(g: LocalGraph, x: dict, p: dict, S, tol: float | None = None,
         return 0
     if tol is None:
         tol = 1e-2 / len(S)
+    if not isinstance(p, dict):
+        return _local_kkt_dense(g, x, p, S, tol, max_iter)
     it = 0
     while it < max_iter:
         it += 1
@@ -116,4 +191,38 @@ def local_kkt(g: LocalGraph, x: dict, p: dict, S, tol: float | None = None,
             break
         if solve_pair(g, x, p, i_best, j_best) == 0.0:
             break  # no improving move despite gap: numerically stalled
+    return it
+
+
+def _local_kkt_dense(g: LocalGraph, x: dict, p: DenseGradient, S: list,
+                     tol: float, max_iter: int) -> int:
+    """:func:`local_kkt`'s loop on the dense store.
+
+    ``argmax``/``argmin`` return the first extreme position, as the dict
+    scan's strict ``>``/``<`` do. ``xs`` mirrors x on S; a step moves only
+    x_i and x_j, so only their two positions are refreshed.
+    """
+    idx = np.array(S, dtype=np.int64)
+    vals = p.vals
+    xs = np.array([x.get(k, 0.0) for k in S])
+    inf = float("inf")
+    it = 0
+    while it < max_iter:
+        it += 1
+        ps = vals[idx]
+        hi = np.where(xs < 1.0, ps, -inf)
+        lo = np.where(xs > 0.0, ps, inf)
+        a = int(hi.argmax())
+        b = int(lo.argmin())
+        i_val = hi.item(a)
+        j_val = lo.item(b)
+        if i_val == -inf or j_val == inf:
+            break
+        i_best, j_best = S[a], S[b]
+        if 2.0 * (i_val - j_val) <= tol or i_best == j_best:
+            break
+        if solve_pair(g, x, p, i_best, j_best) == 0.0:
+            break
+        xs[a] = x.get(i_best, 0.0)
+        xs[b] = x.get(j_best, 0.0)
     return it

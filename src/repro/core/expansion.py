@@ -14,16 +14,27 @@ gradient equals. SEACD passes the exact ``f = x' D x``
 (the appendix's ``grad_i f - f`` equals ``(Dx)_i - f`` up to the shared
 factor of 2). The original SEA passes lambda/2 estimated from the
 support gradients; that estimate is exact only at a true local KKT point.
+
+Both functions work on either gradient store of :mod:`repro.core.cd` and
+give bit-identical results on both: Z comes out in the store's
+first-touch order, s and zeta are Python ``sum``s over Z in that order,
+and omega adds its terms left to right, as the dict loop does.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from ..graph.local import LocalGraph
-from .cd import apply_delta
+from .cd import DenseGradient, apply_delta
 
 
-def expansion_candidates(g: LocalGraph, x: dict, p: dict, level: float
-                         ) -> list:
+def expansion_candidates(g: LocalGraph, x: dict, p: dict | DenseGradient,
+                         level: float) -> list:
     """Z = vertices outside the support with (Dx)_i > level + 1e-9."""
+    if not isinstance(p, dict):
+        o = p.touched_order()
+        hot = o[p.vals[o] > level + 1e-9].tolist()
+        return [i for i in hot if x.get(i, 0.0) <= 0.0]
     return [
         i
         for i, pi in p.items()
@@ -31,31 +42,55 @@ def expansion_candidates(g: LocalGraph, x: dict, p: dict, level: float
     ]
 
 
-def expand(g: LocalGraph, x: dict, p: dict, Z: list, level: float) -> None:
+def _omega(g: LocalGraph, Z: list, gz: list) -> float:
+    """sum_{i, j in Z} gamma_i gamma_j D_ij over the adjacency dicts."""
+    gamma = dict(zip(Z, gz))
+    omega = 0.0
+    for i, gi in zip(Z, gz):
+        for j, w in g.adj[i].items():
+            if j in gamma:
+                omega += gi * gamma[j] * w
+    return omega
+
+
+def _omega_dense(p: DenseGradient, Z: list, gz: list) -> float:
+    """:func:`_omega` over the dense store's rows, in the same order."""
+    rows = [p.row(i) for i in Z]
+    gamma = np.zeros(p.vals.size)
+    gamma[Z] = gz
+    in_z = np.zeros(p.vals.size, dtype=bool)
+    in_z[Z] = True
+    idx = np.concatenate([r[0] for r in rows])
+    w = np.concatenate([r[1] for r in rows])
+    gi = np.repeat(gz, [r[0].size for r in rows])
+    m = in_z[idx]
+    terms = gi[m] * gamma[idx[m]] * w[m]
+    # cumsum adds strictly left to right, as ``omega += term`` from 0.0.
+    return np.cumsum(np.concatenate(([0.0], terms))).item(-1)
+
+
+def expand(g: LocalGraph, x: dict, p: dict | DenseGradient, Z: list,
+           level: float) -> None:
     """Apply one SEA Expansion step in place; no-op unless sum(gamma) > 0."""
-    gamma = {i: p.get(i, 0.0) - level for i in Z}
-    s = sum(gamma.values())
+    dense = not isinstance(p, dict)
+    if dense:
+        gz = [v - level for v in p.vals[Z].tolist()]
+    else:
+        gz = [p.get(i, 0.0) - level for i in Z]
+    s = sum(gz)
     if s <= 0.0:
         return
-    zeta = sum(v * v for v in gamma.values())
-    omega = 0.0
-    zset = set(Z)
-    for i in Z:
-        gi = gamma[i]
-        for j, w in g.adj[i].items():
-            if j in zset:
-                omega += gi * gamma[j] * w
+    zeta = sum([v * v for v in gz])
+    omega = _omega_dense(p, Z, gz) if dense else _omega(g, Z, gz)
     a = level * s * s + 2.0 * s * zeta - omega
     if a <= 0.0:
         tau = 1.0 / s
     else:
         tau = min(1.0 / s, zeta / a)
 
-    deltas = {}
     scale = 1.0 - tau * s
-    for u, xu in list(x.items()):
-        deltas[u] = xu * scale - xu
-    for i in Z:
-        deltas[i] = deltas.get(i, 0.0) + tau * gamma[i]
+    deltas = {u: xu * scale - xu for u, xu in x.items()}
+    for i, gi in zip(Z, gz):
+        deltas[i] = deltas.get(i, 0.0) + tau * gi
     for u, d in deltas.items():
         apply_delta(g, x, p, u, d)

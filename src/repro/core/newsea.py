@@ -115,14 +115,28 @@ def sea_refine_full(gdp: LocalGraph) -> DCSGAResult:
 
 
 def dedup_cliques(cliques: list) -> list:
-    """Drop cliques that are subsets of other found cliques (Section VI-C)."""
-    kept: list = []
-    for key, f, x in cliques:  # already sorted by f desc
-        if any(key <= other for other, _, _ in kept):
+    """Drop cliques that are subsets of other found cliques (Section VI-C).
+
+    ``cliques`` is sorted by f descending and its supports are non-empty.
+    A clique is skipped when a kept one contains it, and it replaces the
+    kept ones it contains. ``at`` maps each vertex to the kept supports
+    through it: a superset must pass through the support's rarest vertex,
+    and a subset shares a vertex with it.
+    """
+    kept: dict = {}  # support -> (support, f, x), in the order kept
+    at: dict = {}  # vertex -> kept supports containing it
+    for key, f, x in cliques:
+        rarest = min(key, key=lambda v: len(at.get(v, ())))
+        if any(key <= other for other in at.get(rarest, ())):
             continue
-        # Remove previously kept cliques subsumed by this one.
-        kept = [(k2, f2, x2) for k2, f2, x2 in kept if not k2 <= key] + [
-            (key, f, x)
-        ]
-    kept.sort(key=lambda t: -t[1])
-    return kept
+        inside = {k2 for v in key for k2 in at.get(v, ()) if k2 <= key}
+        for k2 in inside:
+            del kept[k2]
+            for v in k2:
+                at[v].discard(k2)
+        kept[key] = (key, f, x)
+        for v in key:
+            at.setdefault(v, set()).add(key)
+    out = list(kept.values())
+    out.sort(key=lambda t: -t[1])
+    return out

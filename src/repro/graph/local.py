@@ -13,13 +13,44 @@ pads integer-id graphs with their isolated vertices (present in the
 vertex universe but incident to no difference edge) so that ``n``
 matches the paper's Table II accounting. ``G_D+`` is built here, by
 :meth:`LocalGraph.positive_part`, not in Spark.
+
+The 2-CD kernels (:mod:`repro.core.cd`) keep the gradient p = Dx in one of
+two stores, chosen per graph by :attr:`LocalGraph.rows`. The dict store
+pays one Python dict write per neighbour of a moved vertex. The dense
+store (a numpy vector, updated a row at a time) pays a few fixed numpy
+calls per move instead. 2-CD and Expansion move support vertices, and
+those are reached through edges, so the rule is the edge-weighted mean
+degree ``sum_u d_u^2 / sum_u d_u`` (d_u = number of neighbours): rows are
+built from :data:`DENSE_DEGREE` = 32 up. Measured with
+``seacd_refine_full`` on the 16 test-scale graphs and perfbench's
+Douban and DM graphs ("bench-size"), dense time over dict time, min of 3
+runs each, on 4 cores of a shared x86-64 host:
+
+=========  =====================================================  ==========
+degree     graphs                                                 dense/dict
+=========  =====================================================  ==========
+3.6-16.5   DBLP x4, DBLP-C x2, book/interest-social;              1.22-3.59
+           bench-size movie/social-interest, book x2
+24.2-31.4  wiki x2, movie/social-interest, book/social-interest;  0.78-1.19
+           bench-size movie/interest-social
+43.2-69.5  actor x2, movie/interest-social, DM x2;                0.42-0.69
+           bench-size DM x2
+=========  =====================================================  ==========
+
+Forced on the ``bench``-scale dataset graphs wiki/conflicting (44.8) and
+actor/weighted (83.5), the dense store took 0.53-0.55 and 0.33-0.40 of
+the dict store's time (two runs each).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
+
+# Edge-weighted mean degree from which the dense gradient store pays off.
+DENSE_DEGREE = 32.0
 
 
 @dataclass
@@ -34,6 +65,30 @@ class LocalGraph:
     def m(self) -> int:
         """Number of unordered edges."""
         return sum(len(a) for a in self.adj) // 2
+
+    @cached_property
+    def rows(self) -> list | None:
+        """Per-vertex ``(indices, weights)`` arrays, or None.
+
+        None unless :func:`wants_dense_rows` selects the dense gradient
+        store for this graph. Otherwise a list whose entry i is None until
+        :meth:`row` first builds it.
+        """
+        return [None] * self.n if wants_dense_rows(self) else None
+
+    def row(self, i: int) -> tuple:
+        """``(np.int64 indices, np.float64 weights)`` of ``adj[i]``.
+
+        The arrays follow ``adj[i]``'s iteration order, which fixes the
+        first-touch order of the gradient's entries. Built on first use,
+        so a solve that touches few vertices pays for few rows.
+        """
+        r = self.rows[i]
+        if r is None:
+            a = self.adj[i]
+            r = self.rows[i] = (np.fromiter(a.keys(), np.int64, len(a)),
+                                np.fromiter(a.values(), np.float64, len(a)))
+        return r
 
     def weight(self, i: int, j: int) -> float:
         """Weight of edge (i, j) by internal index; 0.0 if absent."""
@@ -78,6 +133,14 @@ class LocalGraph:
                         stack.append(v)
             comps.append(comp)
         return comps
+
+
+def wants_dense_rows(g: LocalGraph) -> bool:
+    """Whether ``g`` gets the dense gradient store: its edge-weighted mean
+    degree ``sum_u d_u^2 / sum_u d_u`` is at least :data:`DENSE_DEGREE`."""
+    deg = [len(a) for a in g.adj]
+    total = sum(deg)
+    return total > 0 and sum(d * d for d in deg) >= DENSE_DEGREE * total
 
 
 def from_edge_pandas(edges: pd.DataFrame, ids: list | None = None

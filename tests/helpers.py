@@ -111,3 +111,20 @@ def all_cliques_max_affinity_unweighted(g: LocalGraph) -> float:
         else:
             break
     return 1.0 - 1.0 / omega, omega
+
+
+def dedup_cliques_reference(cliques: list) -> list:
+    """The O(k^2) clique dedup that ``newsea.dedup_cliques`` must equal.
+
+    Scans every kept clique for a superset of each new one, then drops the
+    kept cliques the new one contains.
+    """
+    kept: list = []
+    for key, f, x in cliques:  # already sorted by f desc
+        if any(key <= other for other, _, _ in kept):
+            continue
+        kept = [(k2, f2, x2) for k2, f2, x2 in kept if not k2 <= key] + [
+            (key, f, x)
+        ]
+    kept.sort(key=lambda t: -t[1])
+    return kept

@@ -1,5 +1,6 @@
 """NewSEA (Algorithm 5): bound validity, pruning never loses quality."""
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,11 @@ from repro.core.newsea import (
     seacd_refine_full,
 )
 
-from tests.helpers import graph_from_triples, random_positive_graph
+from tests.helpers import (
+    dedup_cliques_reference,
+    graph_from_triples,
+    random_positive_graph,
+)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -110,3 +115,31 @@ def test_dedup_cliques_subset_with_higher_f_dropped():
     ]
     out = dedup_cliques(cl)
     assert [k for k, _, _ in out] == [frozenset({0, 1, 2})]
+
+
+def _random_cliques(rng: random.Random, n_vertices: int, count: int) -> list:
+    """Random supports, some repeated, some nested, sorted by f descending.
+
+    A nested support gets its own random f, so subsets often come first.
+    """
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.3:
+            base = rng.choice(out)[0]
+            if rng.random() < 0.5 and len(base) > 1:
+                key = frozenset(rng.sample(sorted(base), len(base) - 1))
+            else:
+                key = base | {rng.randrange(n_vertices)}
+        else:
+            key = frozenset(rng.sample(range(n_vertices), rng.randint(1, 6)))
+        out.append((key, rng.choice([1.0, 2.0, 3.0, rng.random()]), {}))
+    out.sort(key=lambda t: -t[1])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dedup_cliques_matches_reference(seed):
+    cl = _random_cliques(random.Random(seed), 12, 60)
+    # Some subset outranks (has a higher f than) one of its supersets.
+    assert any(a < b for i, (a, _, _) in enumerate(cl) for b, _, _ in cl[i:])
+    assert dedup_cliques(cl) == dedup_cliques_reference(cl)
