@@ -70,6 +70,12 @@ class DenseGradient:
         """Touched indices in first-touch order."""
         return self.order[:self.size]
 
+    def above(self, t: float) -> list:
+        """Touched indices i with (Dx)_i > t, in first-touch order (the
+        order of ``[i for i, pi in d.items() if pi > t]`` on the dict)."""
+        o = self.touched_order()
+        return o[self.vals[o] > t].tolist()
+
     def get(self, i: int, default: float = 0.0) -> float:
         """(Dx)_i, or ``default`` if no applied row reaches i (as dict.get)."""
         return self.vals.item(i) if self.touched[i] else default
@@ -99,10 +105,7 @@ def apply_delta(g: LocalGraph, x: dict, p: dict | DenseGradient, i: int,
 
 def objective(x: dict, p: dict | DenseGradient) -> float:
     """f(x) = x' D x = sum_u x_u (D x)_u."""
-    if isinstance(p, dict):
-        return sum(v * p.get(u, 0.0) for u, v in x.items())
-    px = p.vals[list(x)].tolist()
-    return sum([v * pu for v, pu in zip(x.values(), px)])
+    return sum(v * p.get(u, 0.0) for u, v in x.items())
 
 
 def init_state(g: LocalGraph, x0: dict) -> tuple[dict, dict | DenseGradient]:

@@ -15,10 +15,12 @@ gradient equals. SEACD passes the exact ``f = x' D x``
 factor of 2). The original SEA passes lambda/2 estimated from the
 support gradients; that estimate is exact only at a true local KKT point.
 
-Both functions work on either gradient store of :mod:`repro.core.cd` and
-give bit-identical results on both: Z comes out in the store's
-first-touch order, s and zeta are Python ``sum``s over Z in that order,
-and omega adds its terms left to right, as the dict loop does.
+Both functions work on either gradient store of :mod:`repro.core.cd`
+through ``p.get`` and ``apply_delta`` and give bit-identical results on
+both. The candidate scan asks the dense store for its entries above the
+level (in first-touch order, the dict's key order), and on graphs with
+row arrays (:attr:`repro.graph.local.LocalGraph.rows`) omega is summed
+over them rather than over the adjacency dicts.
 """
 from __future__ import annotations
 
@@ -32,9 +34,7 @@ def expansion_candidates(g: LocalGraph, x: dict, p: dict | DenseGradient,
                          level: float) -> list:
     """Z = vertices outside the support with (Dx)_i > level + 1e-9."""
     if not isinstance(p, dict):
-        o = p.touched_order()
-        hot = o[p.vals[o] > level + 1e-9].tolist()
-        return [i for i in hot if x.get(i, 0.0) <= 0.0]
+        return [i for i in p.above(level + 1e-9) if x.get(i, 0.0) <= 0.0]
     return [
         i
         for i, pi in p.items()
@@ -42,55 +42,56 @@ def expansion_candidates(g: LocalGraph, x: dict, p: dict | DenseGradient,
     ]
 
 
-def _omega(g: LocalGraph, Z: list, gz: list) -> float:
-    """sum_{i, j in Z} gamma_i gamma_j D_ij over the adjacency dicts."""
-    gamma = dict(zip(Z, gz))
-    omega = 0.0
-    for i, gi in zip(Z, gz):
-        for j, w in g.adj[i].items():
-            if j in gamma:
-                omega += gi * gamma[j] * w
-    return omega
+def _omega_rows(g: LocalGraph, Z: list, gz: list) -> float:
+    """omega = sum_{i, j in Z} gamma_i gamma_j D_ij over ``g.row`` arrays.
 
-
-def _omega_dense(p: DenseGradient, Z: list, gz: list) -> float:
-    """:func:`_omega` over the dense store's rows, in the same order."""
-    rows = [p.row(i) for i in Z]
-    gamma = np.zeros(p.vals.size)
+    The same products as the adjacency-dict loop of :func:`expand`, in the
+    same order (``g.row(i)`` follows ``adj[i]``), and ``np.cumsum`` adds
+    them left to right as that loop's ``omega +=`` does. On the DM graphs
+    (|Z| about 40, degrees 56-70) it takes 0.4 of the loop's time.
+    """
+    rows = [g.row(i) for i in Z]
+    gamma = np.zeros(g.n)
     gamma[Z] = gz
-    in_z = np.zeros(p.vals.size, dtype=bool)
+    in_z = np.zeros(g.n, dtype=bool)
     in_z[Z] = True
     idx = np.concatenate([r[0] for r in rows])
     w = np.concatenate([r[1] for r in rows])
     gi = np.repeat(gz, [r[0].size for r in rows])
     m = in_z[idx]
     terms = gi[m] * gamma[idx[m]] * w[m]
-    # cumsum adds strictly left to right, as ``omega += term`` from 0.0.
     return np.cumsum(np.concatenate(([0.0], terms))).item(-1)
 
 
 def expand(g: LocalGraph, x: dict, p: dict | DenseGradient, Z: list,
            level: float) -> None:
     """Apply one SEA Expansion step in place; no-op unless sum(gamma) > 0."""
-    dense = not isinstance(p, dict)
-    if dense:
-        gz = [v - level for v in p.vals[Z].tolist()]
-    else:
-        gz = [p.get(i, 0.0) - level for i in Z]
-    s = sum(gz)
+    gamma = {i: p.get(i, 0.0) - level for i in Z}
+    s = sum(gamma.values())
     if s <= 0.0:
         return
-    zeta = sum([v * v for v in gz])
-    omega = _omega_dense(p, Z, gz) if dense else _omega(g, Z, gz)
+    zeta = sum(v * v for v in gamma.values())
+    if g.rows is None:
+        omega = 0.0
+        zset = set(Z)
+        for i in Z:
+            gi = gamma[i]
+            for j, w in g.adj[i].items():
+                if j in zset:
+                    omega += gi * gamma[j] * w
+    else:
+        omega = _omega_rows(g, Z, list(gamma.values()))
     a = level * s * s + 2.0 * s * zeta - omega
     if a <= 0.0:
         tau = 1.0 / s
     else:
         tau = min(1.0 / s, zeta / a)
 
+    deltas = {}
     scale = 1.0 - tau * s
-    deltas = {u: xu * scale - xu for u, xu in x.items()}
-    for i, gi in zip(Z, gz):
-        deltas[i] = deltas.get(i, 0.0) + tau * gi
+    for u, xu in list(x.items()):
+        deltas[u] = xu * scale - xu
+    for i in Z:
+        deltas[i] = deltas.get(i, 0.0) + tau * gamma[i]
     for u, d in deltas.items():
         apply_delta(g, x, p, u, d)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 import pandas as pd
@@ -138,9 +139,9 @@ class LocalGraph:
 def wants_dense_rows(g: LocalGraph) -> bool:
     """Whether ``g`` gets the dense gradient store: its edge-weighted mean
     degree ``sum_u d_u^2 / sum_u d_u`` is at least :data:`DENSE_DEGREE`."""
-    deg = [len(a) for a in g.adj]
+    deg = list(map(len, g.adj))
     total = sum(deg)
-    return total > 0 and sum(d * d for d in deg) >= DENSE_DEGREE * total
+    return total > 0 and sum(map(mul, deg, deg)) >= DENSE_DEGREE * total
 
 
 def from_edge_pandas(edges: pd.DataFrame, ids: list | None = None
