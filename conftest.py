@@ -56,22 +56,12 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch); the session configs are those of
+    :func:`repro.datasets.spark_session`, as in ``jobs/tables.py``.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    from repro.datasets import spark_session
+
+    s = spark_session()
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(
@@ -83,3 +73,32 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="session")
+def dcsga_runs(spark):
+    """``runs(family, config, dense=False)``: the DCSGA solvers on a
+    test-scale config's G_D+ in one gradient store.
+
+    Returns [full-init SEACD+Refine, NewSEA], plus SEA+Refine on the DBLP
+    and DM families. Each (config, store) is solved once per session, so
+    the store-equivalence test and the paper-claims test share the runs.
+    """
+    from repro.core.newsea import newsea, sea_refine_full, seacd_refine_full
+    from repro.datasets import get_dataset
+    from tests.helpers import with_store
+
+    cache: dict = {}
+
+    def runs(family: str, config: str, dense: bool = False) -> list:
+        key = (family, config, dense)
+        if key not in cache:
+            gd = get_dataset(spark, family, config, "test").local
+            g = with_store(gd.positive_part(), dense)
+            solvers = [seacd_refine_full, newsea]
+            if family in ("dblp", "dm"):
+                solvers.append(sea_refine_full)
+            cache[key] = [solve(g) for solve in solvers]
+        return cache[key]
+
+    return runs

@@ -3,9 +3,11 @@
     python jobs/tables.py [TABLE ...] [--scale test|bench]
 
 Each TABLE is a key of :data:`TABLES`; with none given, every table runs
-in paper order. Each block is printed under its title through
-:func:`repro.tables.common.fmt_table`; ``bench_tables.txt`` is the
-``--scale bench`` output of a full run. Works under ``spark-submit`` too.
+in paper order, except that VIII and IX print right after IV: key
+``03_04_08_09`` solves each DBLP graph once for all four. Each block is
+printed under its title through :func:`repro.tables.common.fmt_table`;
+``bench_tables.txt`` is the ``--scale bench`` output of a full run. Works
+under ``spark-submit`` too.
 """
 from __future__ import annotations
 
@@ -14,14 +16,12 @@ import sys
 
 sys.path.insert(0, __file__.rsplit("/", 2)[0] + "/src")
 
-from pyspark.sql import SparkSession  # noqa: E402
-
+from repro.datasets import spark_session  # noqa: E402
 from repro.tables import (  # noqa: E402
+    dblp,
     table02,
-    table03_04,
     table05_06,
     table07,
-    table08_09,
     table10_13,
 )
 from repro.tables.common import fmt_table  # noqa: E402
@@ -31,9 +31,12 @@ from repro.tables.common import fmt_table  # noqa: E402
 TABLES = {
     "02": (table02.run,
            [("Table II: difference graph statistics", table02.COLUMNS)]),
-    "03_04": (table03_04.run,
-              [("Table III: co-author groups", table03_04.COLUMNS_T3),
-               ("Table IV: co-author group info", table03_04.COLUMNS_T4)]),
+    "03_04_08_09": (dblp.run,
+                    [("Table III: co-author groups", dblp.COLUMNS_T3),
+                     ("Table IV: co-author group info", dblp.COLUMNS_T4),
+                     ("Table VIII: EgoScan subgraphs", dblp.COLUMNS_T8),
+                     ("Table IX: total edge weight difference",
+                      dblp.COLUMNS_T9)]),
     "05": (table05_06.run_table5,
            [("Table V: top-5 emerging/disappearing topics",
              table05_06.COLUMNS)]),
@@ -41,10 +44,6 @@ TABLES = {
            [("Table VI: top-5 topics per single graph", table05_06.COLUMNS)]),
     "07": (table07.run,
            [("Table VII: DCSGA running time + SEA errors", table07.COLUMNS)]),
-    "08_09": (table08_09.run,
-              [("Table VIII: EgoScan subgraphs", table08_09.COLUMNS_T8),
-               ("Table IX: total edge weight difference",
-                table08_09.COLUMNS_T9)]),
     "10": (lambda spark, scale:
            table10_13.run_avg_degree(spark, ["wiki"], scale),
            [("Table X: DCSAD on Wiki", table10_13.COLUMNS_AD)]),
@@ -63,16 +62,6 @@ TABLES = {
 }
 
 
-def session() -> SparkSession:
-    return (
-        SparkSession.builder.appName("tables")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-
-
 def _table(key: str) -> str:
     # A type check, not ``choices=``: Python 3.11's argparse rejects the
     # empty default list of an ``nargs="*"`` positional that has choices.
@@ -88,7 +77,7 @@ def main(argv: list | None = None) -> None:
                     help="table keys to run (default: all, in paper order)")
     ap.add_argument("--scale", choices=["test", "bench"], default="bench")
     args = ap.parse_args(argv)
-    spark = session()
+    spark = spark_session()
     for key in args.tables or TABLES:
         harness, blocks = TABLES[key]
         out = harness(spark, args.scale)

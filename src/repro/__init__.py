@@ -3,6 +3,6 @@
 See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-vs-measured tables. Subpackages: ``core`` (the paper's
 algorithms), ``graph`` (Spark graph substrate), ``graphgen`` (synthetic
-dataset generators), ``baselines`` (EgoScan), ``tables`` (per-table
-harnesses).
+dataset generators), ``baselines`` (EgoScan), ``tables`` (one harness
+per group of tables that share their solves).
 """

@@ -39,7 +39,7 @@ def dcs_greedy(gd: LocalGraph) -> DCSADResult:
     gdp = gd.positive_part()
     s_edge = list(best_edge)
     s1, _ = greedy_peel(gd)
-    s2, rho2_plus = greedy_peel(gdp)
+    s2, _ = greedy_peel(gdp)
 
     candidates = {
         "max_edge": (s_edge, avg_degree(gd, s_edge)),

@@ -74,6 +74,4 @@ def smart_init_bounds_local(gdp: LocalGraph, m: dict | None = None) -> dict:
     """
     tau = core_numbers_exact(gdp)
     w = egonet_max_weight_local(gdp, m)
-    return {
-        u: tau[u] * w[u] / (tau[u] + 1.0) for u in tau if u in w
-    }
+    return {u: tau[u] * w[u] / (tau[u] + 1.0) for u in tau}

@@ -59,9 +59,3 @@ def non_positive_pair(g: LocalGraph, S):
 def is_positive_clique(g: LocalGraph, S) -> bool:
     """True iff every pair in S is joined by a strictly positive edge."""
     return non_positive_pair(g, S) is None
-
-
-def uniform_embedding(S) -> dict:
-    """The uniform simplex embedding on S."""
-    S = list(S)
-    return {i: 1.0 / len(S) for i in S}

@@ -36,11 +36,13 @@ class DCSGAResult:
     cliques: list | None = None  # [(frozenset support, f, x)], best f first
 
 
-def _multi_start(gdp: LocalGraph, order, use_sea: bool,
+def _multi_start(gdp: LocalGraph, order, start,
                  bound: dict | None = None) -> DCSGAResult:
-    """SEACD (or SEA) + Refine from each start vertex in ``order``.
+    """``start`` (SEACD or SEA) + Refine from each start vertex in ``order``.
 
-    With ``bound``, stops at the first start whose bound ``bound[u]`` cannot
+    ``start(gdp, u)`` returns (x, p, stats). Callers read ``start`` at call
+    time, as this loop reads ``refine``, so patched solvers are used. With
+    ``bound``, stops at the first start whose bound ``bound[u]`` cannot
     beat the best f found. Collects every distinct positive clique found.
     """
     best_x: dict = {}
@@ -52,11 +54,7 @@ def _multi_start(gdp: LocalGraph, order, use_sea: bool,
         if bound is not None and bound[u] <= best_f:
             break
         inits += 1
-        # Looked up at call time, so a patched seacd/sea/refine is used.
-        if use_sea:
-            x, p, stats = sea(gdp, u)
-        else:
-            x, p, stats = seacd(gdp, start_vertex=u)
+        x, p, stats = start(gdp, u)
         refine(gdp, x, p)
         f = objective(x, p)
         errors += stats.expansion_errors
@@ -92,7 +90,7 @@ def newsea(gdp: LocalGraph) -> DCSGAResult:
     # min() doubles its cost.
     bound = {u: mu_u if mu_u < m[u] else m[u] for u, mu_u in mu.items()}
     order = sorted(bound, key=bound.__getitem__, reverse=True)
-    res = _multi_start(gdp, order, use_sea=False, bound=bound)
+    res = _multi_start(gdp, order, seacd, bound=bound)
     x, p = init_state(gdp, res.x)
     local_kkt(gdp, x, p, sorted(x), tol=1e-12 * max(m.values(), default=1.0))
     res.x, res.f = x, objective(x, p)
@@ -104,14 +102,12 @@ def seacd_refine_full(gdp: LocalGraph) -> DCSGAResult:
 
     (At an isolated vertex u, e_u is already a KKT point with f = 0.)
     """
-    return _multi_start(gdp, [u for u in range(gdp.n) if gdp.adj[u]],
-                        use_sea=False)
+    return _multi_start(gdp, [u for u in range(gdp.n) if gdp.adj[u]], seacd)
 
 
 def sea_refine_full(gdp: LocalGraph) -> DCSGAResult:
     """Original SEA+Refine initialized at every non-isolated vertex."""
-    return _multi_start(gdp, [u for u in range(gdp.n) if gdp.adj[u]],
-                        use_sea=True)
+    return _multi_start(gdp, [u for u in range(gdp.n) if gdp.adj[u]], sea)
 
 
 def dedup_cliques(cliques: list) -> list:

@@ -50,10 +50,9 @@ def _support_level(x: dict, p: dict) -> float:
 
     Equals f at a true local KKT point; biased when Shrink under-converged.
     """
-    support = [u for u, v in x.items() if v > 0.0]
-    if not support:
+    if not x:
         return 0.0
-    return sum(p.get(u, 0.0) for u in support) / len(support)
+    return sum(p.get(u, 0.0) for u in x) / len(x)
 
 
 def sea(g: LocalGraph, start_vertex: int, max_outer: int = 100

@@ -7,12 +7,12 @@ base (:data:`_FAMILIES`): Emerging <-> Disappearing swaps G1 and G2
 (``flip``, Section III-B) and the Discrete setting maps the weights
 (``discretize``, Section VI-B).
 
-``get_dataset(spark, family, config, scale)`` returns a
-:class:`DCSDataset` whose ``edges`` is the canonical Spark difference
-graph and whose ``local`` property lazily collects a LocalGraph for the
-driver-side optimizers. Bases and datasets are cached per scale for the
-lifetime of the process; ``scale`` is "test" (tiny, for unit tests) or
-"bench" (the EXPERIMENTS.md scale).
+``get_dataset(spark, family, config, scale)``, on the session of
+:func:`spark_session`, returns a :class:`DCSDataset` whose ``edges`` is
+the canonical Spark difference graph and whose ``local`` property lazily
+collects a LocalGraph for the driver-side optimizers. Bases and datasets
+are cached per scale for the lifetime of the process; ``scale`` is "test"
+(tiny, for unit tests) or "bench" (the EXPERIMENTS.md scale).
 """
 from __future__ import annotations
 
@@ -143,6 +143,23 @@ _FAMILIES = {
 CONFIGS = {fam: list(cfgs) for fam, (_, cfgs) in _FAMILIES.items()}
 
 _CACHE: dict = {}
+
+
+def spark_session() -> SparkSession:
+    """The SparkSession that builds the datasets: 64 shuffle partitions,
+    Arrow for the driver collects, and no broadcast joins, so every join
+    of a difference graph takes the shuffle path.
+
+    Master and driver memory are launch settings and come from the
+    caller (``spark-submit`` or ``PYSPARK_SUBMIT_ARGS``).
+    """
+    return (
+        SparkSession.builder.appName("repro")
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
 
 
 def get_dataset(spark: SparkSession, family: str, config: str,

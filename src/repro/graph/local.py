@@ -91,10 +91,6 @@ class LocalGraph:
                                 np.fromiter(a.values(), np.float64, len(a)))
         return r
 
-    def weight(self, i: int, j: int) -> float:
-        """Weight of edge (i, j) by internal index; 0.0 if absent."""
-        return self.adj[i].get(j, 0.0)
-
     def positive_part(self) -> "LocalGraph":
         """The graph G_D+ keeping only edges with strictly positive weight."""
         adj = [{j: w for j, w in a.items() if w > 0} for a in self.adj]

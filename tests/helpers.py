@@ -93,6 +93,12 @@ def brute_force_max_total(g: LocalGraph):
     return best_S, best_w
 
 
+def uniform_embedding(S) -> dict:
+    """The uniform simplex embedding on S."""
+    S = list(S)
+    return {i: 1.0 / len(S) for i in S}
+
+
 def all_cliques_max_affinity_unweighted(g: LocalGraph) -> float:
     """Motzkin-Straus optimum 1 - 1/omega for a 0/1-weight graph."""
     omega = 1
@@ -128,3 +134,15 @@ def dedup_cliques_reference(cliques: list) -> list:
         ]
     kept.sort(key=lambda t: -t[1])
     return kept
+
+
+def with_store(g: LocalGraph, dense: bool) -> LocalGraph:
+    """A fresh copy of ``g`` with its gradient store forced.
+
+    ``rows`` is a cached property, so setting it overrides the selector:
+    unbuilt rows give the dense store, None the dict store.
+    """
+    out = LocalGraph(g.n, g.ids, g.adj)
+    out.rows = [None] * g.n if dense else None
+    return out
+

@@ -2,8 +2,7 @@
 
 The dict store and the dense store (:class:`repro.core.cd.DenseGradient`)
 must give the same outputs bit for bit, including dict orders. Each test
-forces a store by patching the selector ``wants_dense_rows``, on a fresh
-``LocalGraph`` (``rows`` is cached per graph).
+forces a store on a fresh ``LocalGraph`` (:func:`tests.helpers.with_store`).
 """
 import random
 
@@ -11,19 +10,10 @@ import pytest
 
 from repro.core.cd import DenseGradient, init_state, local_kkt, objective
 from repro.core.expansion import expand, expansion_candidates
-from repro.core.newsea import newsea, sea_refine_full, seacd_refine_full
 from repro.datasets import all_configs, get_dataset
 from repro.graph import local
-from repro.graph.local import LocalGraph
 
-from tests.helpers import random_positive_graph
-
-
-def _with_store(monkeypatch, g: LocalGraph, dense: bool) -> LocalGraph:
-    monkeypatch.setattr(local, "wants_dense_rows", lambda _: dense)
-    out = LocalGraph(g.n, g.ids, g.adj)
-    assert (out.rows is not None) == dense
-    return out
+from tests.helpers import random_positive_graph, with_store
 
 
 def _outputs(res) -> tuple:
@@ -41,28 +31,21 @@ def _p_items(p) -> list:
 @pytest.mark.parametrize(
     "family,config", all_configs(), ids=[f"{f}-{c}" for f, c in all_configs()]
 )
-def test_stores_give_identical_solver_outputs(spark, monkeypatch, family,
-                                              config):
-    gdp = get_dataset(spark, family, config, "test").local.positive_part()
-    solvers = [seacd_refine_full, newsea]
-    if family in ("dblp", "dm"):
-        solvers.append(sea_refine_full)
-    out = {}
-    for dense in (False, True):
-        g = _with_store(monkeypatch, gdp, dense)
-        out[dense] = [_outputs(solve(g)) for solve in solvers]
+def test_stores_give_identical_solver_outputs(dcsga_runs, family, config):
+    out = {dense: [_outputs(res) for res in dcsga_runs(family, config, dense)]
+           for dense in (False, True)}
     assert out[True] == out[False]
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_stores_match_after_every_kkt_and_expand(monkeypatch, seed):
+def test_stores_match_after_every_kkt_and_expand(seed):
     """SEACD's loop in lockstep on both stores, (x, p) compared each step."""
     rng = random.Random(seed)
     g0 = random_positive_graph(60, 0.7, seed + 100)
     # Shuffled adjacency orders, so first-touch order is not index order.
     g0.adj = [dict(rng.sample(sorted(a.items()), len(a))) for a in g0.adj]
     assert local.wants_dense_rows(g0)
-    gs = [_with_store(monkeypatch, g0, dense) for dense in (False, True)]
+    gs = [with_store(g0, dense) for dense in (False, True)]
     start = rng.randrange(g0.n)
     states = [init_state(g, {start: 1.0}) for g in gs]
     assert isinstance(states[1][1], DenseGradient)

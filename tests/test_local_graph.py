@@ -18,17 +18,17 @@ def test_n_and_m(tri):
 
 
 def test_weight_lookup(tri):
-    assert tri.weight(0, 1) == 2.0
-    assert tri.weight(1, 0) == 2.0
-    assert tri.weight(1, 2) == -1.0
-    assert tri.weight(0, 0) == 0.0
+    assert tri.adj[0].get(1, 0.0) == 2.0
+    assert tri.adj[1].get(0, 0.0) == 2.0
+    assert tri.adj[1].get(2, 0.0) == -1.0
+    assert tri.adj[0].get(0, 0.0) == 0.0
 
 
 def test_positive_part(tri):
     gp = tri.positive_part()
     assert gp.m == 2
-    assert gp.weight(1, 2) == 0.0
-    assert gp.weight(0, 2) == 3.0
+    assert gp.adj[1].get(2, 0.0) == 0.0
+    assert gp.adj[0].get(2, 0.0) == 3.0
 
 
 def test_positive_part_preserves_ids(tri):
@@ -64,7 +64,7 @@ def test_self_loops_dropped():
 def test_duplicate_edges_summed():
     pdf = pd.DataFrame({"src": [0, 0], "dst": [1, 1], "weight": [1.0, 2.5]})
     g = from_edge_pandas(pdf)
-    assert g.weight(0, 1) == 3.5
+    assert g.adj[0].get(1, 0.0) == 3.5
 
 
 def test_isolated_vertices_padded():

@@ -8,10 +8,9 @@ from repro.core.metrics import (
     is_positive_clique,
     non_positive_pair,
     total_degree,
-    uniform_embedding,
 )
 
-from tests.helpers import graph_from_triples
+from tests.helpers import graph_from_triples, uniform_embedding
 
 
 @pytest.fixture

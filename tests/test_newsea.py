@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.kbounds import smart_init_bounds_local
-from repro.core.metrics import affinity, uniform_embedding
+from repro.core.metrics import affinity
 from repro.core.newsea import (
     dedup_cliques,
     newsea,
@@ -17,6 +17,7 @@ from tests.helpers import (
     dedup_cliques_reference,
     graph_from_triples,
     random_positive_graph,
+    uniform_embedding,
 )
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.metrics import is_positive_clique
-from repro.core.newsea import newsea, seacd_refine_full
 from repro.datasets import all_configs, get_dataset
 from repro.tables import table02, table07, table10_13
 
@@ -90,12 +89,12 @@ def test_table14_weighted_tiny_discrete_clique(t14):
 @pytest.mark.parametrize(
     "family,config", all_configs(), ids=[f"{f}-{c}" for f, c in all_configs()]
 )
-def test_dcsga_claims_on_every_config(spark, family, config):
+def test_dcsga_claims_on_every_config(spark, dcsga_runs, family, config):
     """Zero SEACD expansion errors, f(NewSEA) >= f(full-init SEACD+Refine)
-    and a positive-clique NewSEA support (Theorem 5)."""
-    ds = get_dataset(spark, family, config, "test")
-    gdp = ds.local.positive_part()
-    new, full = newsea(gdp), seacd_refine_full(gdp)
+    and a positive-clique NewSEA support (Theorem 5), on the dict-store
+    runs that test_gradient_store shows the dense store equals."""
+    full, new = dcsga_runs(family, config)[:2]
     assert new.expansion_errors == 0 and full.expansion_errors == 0
     assert new.f >= full.f - 1e-6
-    assert is_positive_clique(ds.local, list(new.x))
+    gd = get_dataset(spark, family, config, "test").local
+    assert is_positive_clique(gd, list(new.x))

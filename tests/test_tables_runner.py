@@ -11,7 +11,7 @@ _spec.loader.exec_module(tables)
 
 
 def test_table02_block(spark, capsys, monkeypatch):
-    monkeypatch.setattr(tables, "session", lambda: spark)
+    monkeypatch.setattr(tables, "spark_session", lambda: spark)
     tables.main(["02", "--scale", "test"])
     lines = capsys.readouterr().out.splitlines()
     start = lines.index("== Table II: difference graph statistics ==")
