@@ -15,9 +15,9 @@ and ``p`` holds (D x)_i for every vertex with a supported neighbor
   :mod:`repro.graph.local`).
 
 Both give bit-identical results: every entry receives the same IEEE
-products in the same order, the touched entries keep the dict's
-first-touch order, sums over the support run left to right, and the
-``local_kkt`` scan breaks ties toward the first vertex of ``S`` in both.
+products in the same order, Expansion's candidates come in index order,
+sums over the support run left to right, and the ``local_kkt`` scan
+breaks ties toward the first vertex of ``S`` in both.
 Refinement and SEA read ``p`` only through ``get`` and ``clear``. Each
 iteration picks
 ``i = argmax_{k in S, x_k < 1} p_k`` and ``j = argmin_{k in S, x_k > 0} p_k``,
@@ -40,52 +40,30 @@ class DenseGradient:
     """p = D x of graph ``g`` as a dense vector; ``g.rows`` is not None.
 
     ``vals[j]`` is (Dx)_j, exactly 0.0 where no applied row reaches j.
-    ``order[:size]`` lists the touched entries in first-touch order, which
-    is the key order the dict store would have.
     """
 
-    __slots__ = ("row", "vals", "touched", "order", "size", "applied")
+    __slots__ = ("row", "vals")
 
     def __init__(self, g: LocalGraph) -> None:
-        n = g.n
         self.row = g.row
-        self.vals = np.zeros(n)
-        self.touched = np.zeros(n, dtype=bool)
-        self.order = np.empty(n, dtype=np.int64)
-        self.size = 0
-        self.applied: set = set()  # vertices whose row is in ``order``
+        self.vals = np.zeros(g.n)
 
     def add_row(self, i: int, delta: float) -> None:
         """p += delta * D[i, :]."""
         idx, w = self.row(i)
-        if i not in self.applied:
-            self.applied.add(i)
-            new = idx[~self.touched[idx]]
-            self.touched[new] = True
-            self.order[self.size:self.size + new.size] = new
-            self.size += new.size
         self.vals[idx] += delta * w
 
-    def touched_order(self) -> np.ndarray:
-        """Touched indices in first-touch order."""
-        return self.order[:self.size]
-
     def above(self, t: float) -> list:
-        """Touched indices i with (Dx)_i > t, in first-touch order (the
-        order of ``[i for i, pi in d.items() if pi > t]`` on the dict)."""
-        o = self.touched_order()
-        return o[self.vals[o] > t].tolist()
+        """Indices i with (Dx)_i > t, ascending. Expansion's t is positive
+        (its level is never negative on G_D+), so no unreached i is listed."""
+        return np.flatnonzero(self.vals > t).tolist()
 
     def get(self, i: int, default: float = 0.0) -> float:
-        """(Dx)_i, or ``default`` if no applied row reaches i (as dict.get)."""
-        return self.vals.item(i) if self.touched[i] else default
+        """(Dx)_i; an unreached entry holds 0.0, every caller's ``default``."""
+        return self.vals.item(i)
 
     def clear(self) -> None:
-        o = self.touched_order()
-        self.vals[o] = 0.0
-        self.touched[o] = False
-        self.size = 0
-        self.applied.clear()
+        self.vals.fill(0.0)
 
 
 def apply_delta(g: LocalGraph, x: dict, p: dict | DenseGradient, i: int,

@@ -46,7 +46,7 @@ def dcs_greedy(gd: LocalGraph) -> DCSADResult:
         "greedy_gd": (s1, avg_degree(gd, s1)),
         "greedy_gdplus": (s2, avg_degree(gd, s2)),
     }
-    name, (S, rho) = max(candidates.items(), key=lambda kv: kv[1][1])
+    S, rho = max(candidates.values(), key=lambda c: c[1])
 
     comps = gd.connected_components_of(S)
     if len(comps) > 1:

@@ -17,10 +17,10 @@ support gradients; that estimate is exact only at a true local KKT point.
 
 Both functions work on either gradient store of :mod:`repro.core.cd`
 through ``p.get`` and ``apply_delta`` and give bit-identical results on
-both. The candidate scan asks the dense store for its entries above the
-level (in first-touch order, the dict's key order), and on graphs with
-row arrays (:attr:`repro.graph.local.LocalGraph.rows`) omega is summed
-over them rather than over the adjacency dicts.
+both; Z, a set in the paper, is listed in ascending index order on both.
+The candidate scan asks the dense store for its entries above the level,
+and on graphs with row arrays (:attr:`repro.graph.local.LocalGraph.rows`)
+omega is summed over them rather than over the adjacency dicts.
 """
 from __future__ import annotations
 
@@ -30,16 +30,16 @@ from ..graph.local import LocalGraph
 from .cd import DenseGradient, apply_delta
 
 
-def expansion_candidates(g: LocalGraph, x: dict, p: dict | DenseGradient,
+def expansion_candidates(x: dict, p: dict | DenseGradient,
                          level: float) -> list:
     """Z = vertices outside the support with (Dx)_i > level + 1e-9."""
     if not isinstance(p, dict):
         return [i for i in p.above(level + 1e-9) if x.get(i, 0.0) <= 0.0]
-    return [
+    return sorted(
         i
         for i, pi in p.items()
         if pi > level + 1e-9 and x.get(i, 0.0) <= 0.0
-    ]
+    )
 
 
 def _omega_rows(g: LocalGraph, Z: list, gz: list) -> float:

@@ -12,11 +12,11 @@ clique in G_D+, i.e. a positive clique in G_D.
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
-from .cd import apply_delta, local_kkt
+from .cd import DenseGradient, apply_delta, local_kkt
 from .metrics import non_positive_pair
 
 
-def refine(g_plus: LocalGraph, x: dict, p: dict) -> None:
+def refine(g_plus: LocalGraph, x: dict, p: dict | DenseGradient) -> None:
     """Refine (x, p) in place to a positive-clique solution on G_D+."""
     while True:
         S = sorted(x.keys())

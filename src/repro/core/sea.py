@@ -21,12 +21,12 @@ algorithms are run in the paper.
 from __future__ import annotations
 
 from ..graph.local import LocalGraph
-from .cd import EPS, apply_delta, objective
+from .cd import EPS, DenseGradient, apply_delta, objective
 from .seacd import SEAStats, shrink_and_expand
 
 
-def replicator_shrink(g: LocalGraph, x: dict, p: dict, eps: float = 1e-6,
-                      max_iter: int = 2000) -> int:
+def replicator_shrink(g: LocalGraph, x: dict, p: dict | DenseGradient,
+                      eps: float = 1e-6, max_iter: int = 2000) -> int:
     """Iterate the replicator dynamic on the current support; returns iters."""
     f = objective(x, p)
     it = 0
@@ -45,7 +45,7 @@ def replicator_shrink(g: LocalGraph, x: dict, p: dict, eps: float = 1e-6,
     return it
 
 
-def _support_level(x: dict, p: dict) -> float:
+def _support_level(x: dict, p: dict | DenseGradient) -> float:
     """lambda/2 estimated as the mean support gradient.
 
     Equals f at a true local KKT point; biased when Shrink under-converged.

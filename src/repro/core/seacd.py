@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.local import LocalGraph
-from .cd import init_state, local_kkt, objective
+from .cd import DenseGradient, init_state, local_kkt, objective
 from .expansion import expand, expansion_candidates
 
 
@@ -42,7 +42,7 @@ def shrink_and_expand(g: LocalGraph, x0: dict, shrink, level=None,
         stats.shrink_iters += shrink(x, p)
         f_before = objective(x, p)
         lam2 = f_before if level is None else level(x, p)
-        Z = expansion_candidates(g, x, p, level=lam2)
+        Z = expansion_candidates(x, p, level=lam2)
         if not Z:
             break
         expand(g, x, p, Z, level=lam2)
@@ -64,7 +64,7 @@ def seacd(g: LocalGraph, start_vertex: int, max_outer: int = 500
     Returns (x, p, stats). ``start_vertex`` is the u of the e_u
     initialization of Section V-D.
     """
-    def shrink(x: dict, p: dict) -> int:
+    def shrink(x: dict, p: dict | DenseGradient) -> int:
         return local_kkt(g, x, p, list(x.keys()))
 
     return shrink_and_expand(g, {start_vertex: 1.0}, shrink,

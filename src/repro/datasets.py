@@ -61,7 +61,8 @@ class DCSDataset:
     n: int  # size of the vertex universe (isolated vertices included)
     labels: dict | None = None  # vertex id -> display name
     planted: dict = field(default_factory=dict)  # group name -> vertex ids
-    _local: LocalGraph | None = None
+    _local: LocalGraph | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def local(self) -> LocalGraph:

@@ -80,9 +80,9 @@ class LocalGraph:
     def row(self, i: int) -> tuple:
         """``(np.int64 indices, np.float64 weights)`` of ``adj[i]``.
 
-        The arrays follow ``adj[i]``'s iteration order, which fixes the
-        first-touch order of the gradient's entries. Built on first use,
-        so a solve that touches few vertices pays for few rows.
+        The arrays follow ``adj[i]``'s iteration order, so Expansion's omega
+        adds its products in the adjacency-dict loop's order. Built on first
+        use, so a solve that touches few vertices pays for few rows.
         """
         r = self.rows[i]
         if r is None:

@@ -11,19 +11,19 @@ def test_candidates_on_star():
     g = graph_from_triples([(0, 1, 2.0), (0, 2, 3.0)])
     x, p = init_state(g, {0: 1.0})
     # f = 0; both neighbors have (Dx) > 0.
-    assert set(expansion_candidates(g, x, p, objective(x, p))) == {1, 2}
+    assert set(expansion_candidates(x, p, objective(x, p))) == {1, 2}
 
 
 def test_candidates_exclude_support():
     g = graph_from_triples([(0, 1, 2.0)])
     x, p = init_state(g, {0: 0.5, 1: 0.5})
-    assert expansion_candidates(g, x, p, objective(x, p)) == []
+    assert expansion_candidates(x, p, objective(x, p)) == []
 
 
 def test_expand_preserves_simplex():
     g = graph_from_triples([(0, 1, 4.0), (1, 2, 2.0), (0, 2, 2.0), (2, 3, 3.0)])
     x, p = init_state(g, {0: 0.5, 1: 0.5})
-    Z = expansion_candidates(g, x, p, level=objective(x, p))
+    Z = expansion_candidates(x, p, level=objective(x, p))
     if Z:
         expand(g, x, p, Z, level=objective(x, p))
     assert sum(x.values()) == pytest.approx(1.0)
@@ -49,7 +49,7 @@ def test_expand_from_exact_kkt_never_decreases(seed):
     x, p = init_state(g, {i: 1.0 / len(S) for i in S})
     local_kkt(g, x, p, S, tol=1e-12)
     f0 = objective(x, p)
-    Z = expansion_candidates(g, x, p, level=f0)
+    Z = expansion_candidates(x, p, level=f0)
     assert g.n - 1 in Z
     expand(g, x, p, Z, level=f0)
     assert objective(x, p) >= f0 - 1e-8
@@ -66,7 +66,7 @@ def test_expand_is_noop_when_no_gain():
 def test_expand_grows_support():
     g = graph_from_triples([(0, 1, 1.0), (0, 2, 5.0), (1, 2, 5.0)])
     x, p = init_state(g, {0: 0.5, 1: 0.5})
-    Z = expansion_candidates(g, x, p, level=objective(x, p))
+    Z = expansion_candidates(x, p, level=objective(x, p))
     assert Z == [2]
     expand(g, x, p, Z, level=objective(x, p))
     assert x.get(2, 0.0) > 0.0
