@@ -11,8 +11,10 @@ base (:data:`_FAMILIES`): Emerging <-> Disappearing swaps G1 and G2
 :func:`spark_session`, returns a :class:`DCSDataset` whose ``edges`` is
 the canonical Spark difference graph and whose ``local`` property lazily
 collects a LocalGraph for the driver-side optimizers. Bases and datasets
-are cached per scale for the lifetime of the process; ``scale`` is "test"
-(tiny, for unit tests) or "bench" (the EXPERIMENTS.md scale).
+are cached per scale for the lifetime of the process: each base is
+checkpointed once, and a config's ``edges`` is its narrow transform of
+that base. ``scale`` is "test" (tiny, for unit tests) or "bench" (the
+EXPERIMENTS.md scale).
 """
 from __future__ import annotations
 
@@ -67,7 +69,10 @@ class DCSDataset:
     @property
     def local(self) -> LocalGraph:
         if self._local is None:
-            pdf = self.edges.select("src", "dst", "weight").toPandas()
+            # Sorted by (src, dst), each adj[i] lists its neighbours in
+            # ascending index order, whatever order the rows arrive in.
+            pdf = (self.edges.select("src", "dst", "weight").toPandas()
+                   .sort_values(["src", "dst"], ignore_index=True))
             ids = sorted(set(pdf["src"]).union(pdf["dst"]))
             # Integer-id families keep their isolated vertices (n as in the
             # dataset), after the endpoints so no endpoint's index moves.
@@ -148,8 +153,8 @@ _CACHE: dict = {}
 
 def spark_session() -> SparkSession:
     """The SparkSession that builds the datasets: 64 shuffle partitions,
-    Arrow for the driver collects, and no broadcast joins, so every join
-    of a difference graph takes the shuffle path.
+    Arrow for the driver collects, and no broadcast joins, so the
+    generators' joins take the shuffle path whatever their input sizes.
 
     Master and driver memory are launch settings and come from the
     caller (``spark-submit`` or ``PYSPARK_SUBMIT_ARGS``).
@@ -173,9 +178,8 @@ def get_dataset(spark: SparkSession, family: str, config: str,
             _CACHE[family, scale] = (gd.localCheckpoint(eager=True), n,
                                      planted, labels)
         base, n, planted, labels = _CACHE[family, scale]
-        edges = transforms[config](base).localCheckpoint(eager=True)
-        _CACHE[key] = DCSDataset(family, config, scale, edges, n, labels,
-                                 planted)
+        _CACHE[key] = DCSDataset(family, config, scale,
+                                 transforms[config](base), n, labels, planted)
     return _CACHE[key]
 
 

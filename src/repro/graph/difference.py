@@ -2,11 +2,13 @@
 
 All edge DataFrames in this codebase are *canonical*: columns
 ``src, dst, weight`` with ``src < dst`` and one row per unordered edge.
-``canonicalize`` enforces that invariant (summing duplicate orientations),
-``difference`` full-outer-joins two graphs into ``G_D`` with
-``D = A2 - A1``, ``flip`` negates weights (Emerging <-> Disappearing), and
-``discretize`` and ``cap_weights`` apply the Discrete-setting weight
-mappings. ``G_D+`` is not built here: the driver's
+``canonicalize`` enforces that invariant (summing duplicate orientations).
+``difference`` builds ``G_D`` with ``D = A2 - alpha * A1`` as one grouped
+sum: it canonicalizes G2's rows together with G1's rows scaled by
+``-alpha``, so the plan has one shuffle and no join. ``flip`` negates
+weights (Emerging <-> Disappearing), and ``discretize`` and
+``cap_weights`` apply the Discrete-setting weight mappings. ``G_D+`` is
+not built here: the driver's
 :meth:`repro.graph.local.LocalGraph.positive_part` filters the collected
 graph.
 """
@@ -27,25 +29,14 @@ def canonicalize(edges: DataFrame) -> DataFrame:
 
 
 def difference(g1: DataFrame, g2: DataFrame, alpha: float = 1.0) -> DataFrame:
-    """G_D = G2 - alpha * G1 as a full outer join; drops exact-zero edges.
+    """G_D = G2 - alpha * G1 as one grouped sum; drops exact-zero edges.
 
     ``alpha`` implements the generalized difference graph of Section III-D.
     """
-    e1 = canonicalize(g1).withColumnRenamed("weight", "w1")
-    e2 = canonicalize(g2).withColumnRenamed("weight", "w2")
-    d = (
-        e2.join(e1, ["src", "dst"], "full_outer")
-        .select(
-            "src",
-            "dst",
-            (
-                F.coalesce(F.col("w2"), F.lit(0.0))
-                - F.lit(float(alpha)) * F.coalesce(F.col("w1"), F.lit(0.0))
-            ).alias("weight"),
-        )
-        .where(F.col("weight") != 0.0)
-    )
-    return d
+    neg = g1.select("src", "dst",
+                    (F.lit(-float(alpha)) * F.col("weight")).alias("weight"))
+    d = canonicalize(g2.select("src", "dst", "weight").unionByName(neg))
+    return d.where(F.col("weight") != 0.0)
 
 
 def flip(gd: DataFrame) -> DataFrame:

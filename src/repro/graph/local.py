@@ -9,6 +9,7 @@ which is the paper's own efficiency argument (Section V-B).
 Vertices have arbitrary external ids (integers, or keyword strings for
 the DM single graphs); internally they are re-indexed to ``0..n-1``. The
 one driver collect is :attr:`repro.datasets.DCSDataset.local`, which
+sorts the edges so that every ``adj[i]`` is in ascending index order and
 pads integer-id graphs with their isolated vertices (present in the
 vertex universe but incident to no difference edge) so that ``n``
 matches the paper's Table II accounting. ``G_D+`` is built here, by

@@ -21,12 +21,13 @@ COLUMNS = ["gd_type", "rank", "topic", "affinity"]
 def _top5(gdp_local) -> list:
     full = seacd_refine_full(gdp_local)
     top = dedup_cliques(full.cliques)[:5]
+    ids = gdp_local.ids
     out = []
     for rank, (_, f, x) in enumerate(top, start=1):
-        topic = {
-            gdp_local.ids[i]: round(w, 2)
-            for i, w in sorted(x.items(), key=lambda kv: -kv[1])
-        }
+        # Members by printed weight, descending, then by keyword, so tied
+        # members print in one order whatever path the solver took.
+        members = sorted((-round(w, 2), ids[i]) for i, w in x.items())
+        topic = {kw: -w for w, kw in members}
         out.append({"rank": rank, "topic": topic, "affinity": f})
     return out
 

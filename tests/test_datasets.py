@@ -84,3 +84,19 @@ def test_dataset_dataclass_fields(spark):
     assert isinstance(ds, DCSDataset)
     assert ds.family == "wiki" and ds.config == "consistent"
     assert ds.scale == "test"
+
+
+@pytest.mark.parametrize("graph", [
+    lambda spark: get_dataset(spark, "dblp", "weighted-emerging", "test"),
+    lambda spark: datasets.dm_single_graphs(spark, "test")[0],
+], ids=["dblp", "dm-G1"])
+def test_local_independent_of_row_order(spark, graph):
+    """A reshuffled copy of the edges collects the same driver graph, with
+    every adjacency in ascending index order."""
+    ds = graph(spark)
+    shuffled = DCSDataset(ds.family, ds.config, ds.scale,
+                          ds.edges.repartition(7), ds.n)
+    a, b = ds.local, shuffled.local
+    assert b.ids == a.ids
+    assert [list(r.items()) for r in b.adj] == [list(r.items()) for r in a.adj]
+    assert all(list(r) == sorted(r) for r in a.adj)

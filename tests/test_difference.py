@@ -59,23 +59,44 @@ def test_difference_values(spark, g1_pdf, g2_pdf):
                     (6, 7): 2.0}
 
 
+# The reference: canonicalize each graph, full-outer-join them, and keep
+# the non-zero values of w2 - alpha * w1.
+DIFFERENCE_SQL = """
+WITH c1 AS (SELECT least(src,dst) s, greatest(src,dst) d,
+                   sum(weight) w FROM g1 WHERE src<>dst GROUP BY 1,2),
+     c2 AS (SELECT least(src,dst) s, greatest(src,dst) d,
+                   sum(weight) w FROM g2 WHERE src<>dst GROUP BY 1,2)
+SELECT coalesce(c2.s, c1.s) AS src, coalesce(c2.d, c1.d) AS dst,
+       coalesce(c2.w, 0) - {alpha} * coalesce(c1.w, 0) AS weight
+FROM c2 FULL OUTER JOIN c1 ON c2.s = c1.s AND c2.d = c1.d
+WHERE coalesce(c2.w, 0) - {alpha} * coalesce(c1.w, 0) <> 0
+"""
+
+
 def test_difference_oracle(spark, g1_pdf, g2_pdf):
     gd = difference(spark.createDataFrame(g1_pdf), spark.createDataFrame(g2_pdf))
-    assert_equivalent(
-        gd,
-        """
-        WITH c1 AS (SELECT least(src,dst) s, greatest(src,dst) d,
-                           sum(weight) w FROM g1 WHERE src<>dst GROUP BY 1,2),
-             c2 AS (SELECT least(src,dst) s, greatest(src,dst) d,
-                           sum(weight) w FROM g2 WHERE src<>dst GROUP BY 1,2)
-        SELECT coalesce(c2.s, c1.s) AS src, coalesce(c2.d, c1.d) AS dst,
-               coalesce(c2.w, 0) - coalesce(c1.w, 0) AS weight
-        FROM c2 FULL OUTER JOIN c1 ON c2.s = c1.s AND c2.d = c1.d
-        WHERE coalesce(c2.w, 0) - coalesce(c1.w, 0) <> 0
-        """,
-        g1=g1_pdf,
-        g2=g2_pdf,
-    )
+    assert_equivalent(gd, DIFFERENCE_SQL.format(alpha=1.0), g1=g1_pdf, g2=g2_pdf)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_difference_oracle_orientations_and_alpha(spark, alpha):
+    """Both orientations of an edge in each graph, fractional weights, and
+    an edge (9, 10) whose difference is exactly 0 and must be dropped."""
+    g1 = pd.DataFrame({
+        "src": [1, 2, 3, 5, 9, 10, 11],
+        "dst": [2, 1, 4, 6, 10, 9, 11],
+        "weight": [0.75, 0.5, 0.1, 2.5, 0.75, 0.5, 4.0],
+    })
+    g2 = pd.DataFrame({
+        "src": [2, 1, 4, 3, 7, 10, 6],
+        "dst": [1, 2, 3, 4, 8, 9, 5],
+        "weight": [0.3, 1.25, 0.2, 0.45, 1.5, 1.25 * alpha, 0.7],
+    })
+    gd = difference(spark.createDataFrame(g1), spark.createDataFrame(g2),
+                    alpha=alpha)
+    assert_equivalent(gd, DIFFERENCE_SQL.format(alpha=alpha), g1=g1, g2=g2)
+    rows = {(r["src"], r["dst"]) for r in gd.collect()}
+    assert rows == {(1, 2), (3, 4), (5, 6), (7, 8)}
 
 
 def test_difference_alpha(spark, g1_pdf, g2_pdf):

@@ -1,6 +1,9 @@
 """Tables V & VI: topic rankings on the DM keyword graphs (test scale)."""
+from types import SimpleNamespace
+
 import pytest
 
+from repro.graph.local import LocalGraph
 from repro.tables import table05_06
 
 
@@ -103,3 +106,17 @@ def test_time_series_cooldown(t6):
 
     ts = frozenset({"time", "series"})
     assert f_of("G1 (early)", ts) > f_of("G2 (recent)", ts)
+
+
+def test_top5_orders_tied_members_by_keyword(monkeypatch):
+    """Members sort by printed weight, then keyword, not by x's key order."""
+    cliques = [
+        (frozenset({0, 1, 2}), 2.0, {2: 0.4001, 0: 0.2, 1: 0.3999}),
+        (frozenset({3, 4}), 1.0, {4: 0.5, 3: 0.5}),
+    ]
+    monkeypatch.setattr(table05_06, "seacd_refine_full",
+                        lambda g: SimpleNamespace(cliques=cliques))
+    g = LocalGraph(5, ["a", "b", "c", "d", "e"], [{} for _ in range(5)])
+    topics = [list(r["topic"].items()) for r in table05_06._top5(g)]
+    assert topics == [[("b", 0.4), ("c", 0.4), ("a", 0.2)],
+                      [("d", 0.5), ("e", 0.5)]]
