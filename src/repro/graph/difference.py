@@ -2,13 +2,14 @@
 
 All edge DataFrames in this codebase are *canonical*: columns
 ``src, dst, weight`` with ``src < dst`` and one row per unordered edge.
-``canonicalize`` enforces that invariant (summing duplicate orientations).
-``difference`` builds ``G_D`` with ``D = A2 - alpha * A1`` as one grouped
-sum: it canonicalizes G2's rows together with G1's rows scaled by
-``-alpha``, so the plan has one shuffle and no join. ``flip`` negates
-weights (Emerging <-> Disappearing), and ``discretize`` and
-``cap_weights`` apply the Discrete-setting weight mappings. ``G_D+`` is
-not built here: the driver's
+``canonicalize`` (summing duplicate orientations) runs only in
+``difference``; Actor's G_D and the DM keyword graphs are canonical as
+generated (``tests/test_datasets.py`` checks every dataset).
+``difference`` builds ``G_D`` with ``D = A2 - alpha * A1`` as one
+grouped sum of G2's rows and G1's rows scaled by ``-alpha``: one
+shuffle, no join. ``flip`` negates weights (Emerging <-> Disappearing),
+and ``discretize`` and ``cap_weights`` apply the Discrete-setting weight
+mappings. ``G_D+`` is not built here: the driver's
 :meth:`repro.graph.local.LocalGraph.positive_part` filters the collected
 graph.
 """

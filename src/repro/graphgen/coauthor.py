@@ -1,10 +1,11 @@
 """Synthetic DBLP-style co-author graphs (paper Section VI-B).
 
-Collaboration *events* ``(a, b, era, papers)`` are generated on the
-driver, aggregated into the two era graphs by Spark, and differenced by
-:mod:`repro.graph.difference`. Six planted groups are calibrated so that
-each (setting, G_D type, measure) cell of Table IV selects the same kind
-of group the paper reports — see DESIGN.md §2 for the calibration:
+Collaboration *events* ``(a, b, era, papers)``, one row per (pair, era),
+are generated on the driver, split into the two era graphs by two Spark
+filters, and differenced by :mod:`repro.graph.difference`. Six planted
+groups are calibrated so that each (setting, G_D type, measure) cell of
+Table IV selects the same kind of group the paper reports — see
+DESIGN.md §2 for the calibration:
 
 * uta-ml (4): era-2 clique, edge weights [46, 24, 24, 24, 23, 22]
   (sum 163 → avg-degree diff 81.5; dominant edge 46 → affinity ≈ 23.2).
@@ -73,13 +74,11 @@ def events(n: int, bg_pairs: int, seed: int = 7) -> pd.DataFrame:
 
 
 def era_graphs(spark: SparkSession, ev: pd.DataFrame) -> tuple[DataFrame, DataFrame]:
-    """Aggregate events into the two weighted co-author graphs (Spark)."""
+    """The two weighted co-author graphs (Spark): one era's events each."""
     df = spark.createDataFrame(ev)
-    agg = df.groupBy("src", "dst", "era").agg(
-        F.sum("papers").cast("double").alias("weight")
-    )
-    g1 = agg.where(F.col("era") == 1).drop("era")
-    g2 = agg.where(F.col("era") == 2).drop("era")
+    weight = F.col("papers").cast("double").alias("weight")
+    g1 = df.where(F.col("era") == 1).select("src", "dst", weight)
+    g2 = df.where(F.col("era") == 2).select("src", "dst", weight)
     return g1, g2
 
 

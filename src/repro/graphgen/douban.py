@@ -3,8 +3,8 @@
 ``G1`` is a unit-weight social graph; ``G2`` is the *interest* graph:
 an edge (u, v) iff u and v are within 2 hops in G1 and the Jaccard
 similarity of their rated-item sets exceeds a threshold (0.2 for Movie,
-0.1 for Book) — the Jaccard-over-2-hop pipeline is implemented in Spark
-SQL (:func:`interest_graph`) and oracle-checked in tests.
+0.1 for Book) — the Jaccard-over-2-hop pipeline (:func:`interest_graph`,
+one grouping of co-rated pairs in Spark SQL) is oracle-checked in tests.
 
 Planted structure (DESIGN.md §2): an interest clique of users with
 identical rating lists (movie 32 / book 14, pairwise 2-hop via a hub),
@@ -19,6 +19,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.window import Window
 
 from .background import chung_lu_pairs, clique_edges, random_subset_edges
 
@@ -132,21 +133,19 @@ def two_hop_pairs(social: DataFrame) -> DataFrame:
 
 def interest_graph(spark: SparkSession, social: DataFrame,
                    ratings: DataFrame, thr: float) -> DataFrame:
-    """Unit-weight Jaccard interest graph restricted to 2-hop pairs."""
-    sizes = ratings.groupBy("user").agg(F.count("*").alias("sz"))
-    a = ratings.alias("a")
-    b = ratings.alias("b")
-    inter = (
+    """Unit-weight Jaccard interest graph restricted to 2-hop pairs.
+
+    Rows carry their user's rating count: one grouping gives |A∩B|, |A|, |B|.
+    """
+    r = ratings.withColumn("sz", F.count("*").over(Window.partitionBy("user")))
+    a = r.alias("a")
+    b = r.alias("b")
+    jac = (
         a.join(b, F.col("a.item") == F.col("b.item"))
         .where(F.col("a.user") < F.col("b.user"))
-        .groupBy(F.col("a.user").alias("u"), F.col("b.user").alias("v"))
+        .groupBy(F.col("a.user").alias("u"), F.col("b.user").alias("v"),
+                 F.col("a.sz").alias("su"), F.col("b.sz").alias("sv"))
         .agg(F.count("*").alias("inter"))
-    )
-    jac = (
-        inter.join(sizes.withColumnRenamed("user", "u")
-                   .withColumnRenamed("sz", "su"), "u")
-        .join(sizes.withColumnRenamed("user", "v")
-              .withColumnRenamed("sz", "sv"), "v")
         .withColumn(
             "jaccard",
             F.col("inter") / (F.col("su") + F.col("sv") - F.col("inter")),

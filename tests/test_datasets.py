@@ -100,3 +100,24 @@ def test_local_independent_of_row_order(spark, graph):
     assert b.ids == a.ids
     assert [list(r.items()) for r in b.adj] == [list(r.items()) for r in a.adj]
     assert all(list(r) == sorted(r) for r in a.adj)
+
+
+_CANONICAL = all_configs() + [("dm-single", "G1"), ("dm-single", "G2")]
+
+
+@pytest.mark.parametrize("family,config", _CANONICAL,
+                         ids=[f"{f}-{c}" for f, c in _CANONICAL])
+def test_edges_canonical(spark, family, config):
+    """Every dataset's edges: src < dst, one row per pair, no zero weight.
+
+    Actor's G_D and the DM keyword graphs are used as generated, so this
+    is the only check of the invariant for them."""
+    if family == "dm-single":
+        ds = datasets.dm_single_graphs(spark, "test")[config == "G2"]
+    else:
+        ds = get_dataset(spark, family, config, "test")
+    pdf = ds.edges.toPandas()
+    assert len(pdf) > 0
+    assert (pdf["src"] < pdf["dst"]).all()
+    assert not pdf.duplicated(["src", "dst"]).any()
+    assert (pdf["weight"] != 0.0).all()

@@ -2,7 +2,7 @@
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.difference import cap_weights, canonicalize, difference
+from repro.graph.difference import cap_weights, difference
 from repro.graphgen import bigco
 
 from tests.oracle import assert_equivalent
@@ -51,12 +51,12 @@ def test_dblpc_disc_clique(spark, dblpc):
 
 
 def test_actor_all_positive(spark):
-    gd = canonicalize(bigco.actor_graph(spark, 300, 1500))
+    gd = bigco.actor_graph(spark, 300, 1500)
     assert gd.where(F.col("weight") <= 0).count() == 0
 
 
 def test_actor_heavy_triangle(spark):
-    gd = canonicalize(bigco.actor_graph(spark, 300, 1500))
+    gd = bigco.actor_graph(spark, 300, 1500)
     rows = {
         (r["src"], r["dst"]): r["weight"]
         for r in gd.where(F.col("src") < 3).where(F.col("dst") < 3).collect()
@@ -66,7 +66,7 @@ def test_actor_heavy_triangle(spark):
 
 
 def test_actor_cap(spark):
-    gd = cap_weights(canonicalize(bigco.actor_graph(spark, 300, 1500)), 10.0)
+    gd = cap_weights(bigco.actor_graph(spark, 300, 1500), 10.0)
     assert gd.agg(F.max("weight")).collect()[0][0] == 10.0
     ids = bigco.ACTOR_PLANTED["disc-clique"]
     rows = gd.where(F.col("src").isin(ids) & F.col("dst").isin(ids)).collect()
@@ -74,7 +74,7 @@ def test_actor_cap(spark):
 
 
 def test_actor_mean_weight_near_paper(spark):
-    gd = canonicalize(bigco.actor_graph(spark, 2000, 12000))
+    gd = bigco.actor_graph(spark, 2000, 12000)
     bg = gd.where((F.col("src") >= 40) & (F.col("dst") >= 40))
     avg = bg.agg(F.avg("weight")).collect()[0][0]
     assert avg == pytest.approx(1.1, abs=0.1)  # Table II: 1.101

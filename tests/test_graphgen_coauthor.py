@@ -29,6 +29,12 @@ def test_events_positive_counts(ev):
     assert (ev["papers"] > 0).all()
 
 
+def test_events_one_row_per_pair_and_era(ev):
+    """``era_graphs`` filters the events without grouping them."""
+    assert (ev["src"] < ev["dst"]).all()
+    assert not ev.duplicated(["src", "dst", "era"]).any()
+
+
 def test_planted_ids_disjoint_from_background(ev):
     planted = {i for ids in coauthor.PLANTED.values() for i in ids}
     bg = ev[(ev["src"] >= 48) & (ev["dst"] >= 48)]

@@ -37,23 +37,52 @@ def test_two_hop_pairs_oracle(spark):
     )
 
 
-def test_interest_graph_oracle(spark):
+# (social edges, ratings as (user, item) rows, thr, expected interest edges)
+_INTEREST_CASES = {
+    "mixed": ([(0, 1), (0, 2), (0, 3), (4, 5)],
+              [(1, 10), (1, 11), (1, 12), (2, 10), (2, 11), (2, 13),
+               (3, 50), (3, 51), (4, 10), (5, 10)],
+              0.3, [(1, 2), (4, 5)]),
+    # (1, 2) has Jaccard 1/3 exactly, which ``> thr`` excludes.
+    "jaccard-equals-thr": ([(1, 2), (3, 4)],
+                           [(1, 10), (1, 11), (2, 10), (2, 12),
+                            (3, 20), (3, 21), (4, 20), (4, 21)],
+                           1 / 3, [(3, 4)]),
+    # Path 1-2-3-4: (1, 4) rate alike but are three hops apart.
+    "beyond-two-hops": ([(1, 2), (2, 3), (3, 4)],
+                        [(1, 10), (2, 10), (3, 31), (4, 10)],
+                        0.3, [(1, 2), (2, 4)]),
+    # Star around 0: (1, 2) is 2-hop only through their common neighbour.
+    "common-neighbour-only": ([(0, 1), (0, 2)],
+                              [(0, 99), (1, 10), (1, 11), (2, 10), (2, 11)],
+                              0.3, [(1, 2)]),
+    # Users 1-3 rate one item each; user 4's Jaccard with each is 1/3.
+    "single-rating-users": ([(1, 2), (2, 3), (3, 4), (1, 4)],
+                            [(1, 10), (2, 10), (3, 11), (4, 10), (4, 11),
+                             (4, 12)],
+                            0.3, [(1, 2), (1, 4), (2, 4), (3, 4)]),
+    # User 1 rates item 10 twice: counted as rows, (1, 3) has Jaccard
+    # 2 / (3 + 2 - 2) = 2/3 (1/3 as sets) and (1, 2) has 3 / 2.
+    "repeated-rating": ([(1, 2), (1, 3)],
+                        [(1, 10), (1, 10), (1, 11), (2, 10), (2, 11),
+                         (3, 10), (3, 12)],
+                        0.5, [(1, 2), (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("case", _INTEREST_CASES)
+def test_interest_graph_oracle(spark, case):
     """Full Jaccard pipeline vs. an independent DuckDB formulation."""
-    social_pdf = pd.DataFrame(
-        {"src": [0, 0, 0, 4], "dst": [1, 2, 3, 5], "weight": [1.0] * 4}
-    )
-    ratings_pdf = pd.DataFrame(
-        {
-            "user": [1, 1, 1, 2, 2, 2, 3, 3, 4, 5],
-            "item": [10, 11, 12, 10, 11, 13, 50, 51, 10, 10],
-        }
-    )
+    social, ratings, thr, expected = _INTEREST_CASES[case]
+    social_pdf = pd.DataFrame(social, columns=["src", "dst"]).assign(weight=1.0)
+    ratings_pdf = pd.DataFrame(ratings, columns=["user", "item"])
     out = douban.interest_graph(
         spark,
         spark.createDataFrame(social_pdf),
         spark.createDataFrame(ratings_pdf),
-        thr=0.3,
+        thr=thr,
     )
+    assert sorted((r.src, r.dst) for r in out.collect()) == expected
     assert_equivalent(
         out,
         """
@@ -79,10 +108,11 @@ def test_interest_graph_oracle(spark):
         )
         SELECT jac.u AS src, jac.v AS dst, 1.0 AS weight
         FROM jac JOIN hop2 ON jac.u = hop2.u AND jac.v = hop2.v
-        WHERE j > 0.3
+        WHERE j > (SELECT thr FROM t)
         """,
         r=ratings_pdf,
         e=social_pdf,
+        t=pd.DataFrame({"thr": [thr]}),
     )
 
 
