@@ -47,19 +47,17 @@ def _omega_rows(g: LocalGraph, Z: list, gz: list) -> float:
 
     The same products as the adjacency-dict loop of :func:`expand`, in the
     same order (``g.row(i)`` follows ``adj[i]``), and ``np.cumsum`` adds
-    them left to right as that loop's ``omega +=`` does. On the DM graphs
-    (|Z| about 40, degrees 56-70) it takes 0.4 of the loop's time.
+    them left to right as that loop's ``omega +=`` does. Neighbours off Z
+    add a zero term (gamma 0.0), which leaves the sum unchanged. On the DM
+    graphs (|Z| about 40, degrees 56-70) it takes 0.4 of the loop's time.
     """
     rows = [g.row(i) for i in Z]
     gamma = np.zeros(g.n)
     gamma[Z] = gz
-    in_z = np.zeros(g.n, dtype=bool)
-    in_z[Z] = True
     idx = np.concatenate([r[0] for r in rows])
     w = np.concatenate([r[1] for r in rows])
     gi = np.repeat(gz, [r[0].size for r in rows])
-    m = in_z[idx]
-    terms = gi[m] * gamma[idx[m]] * w[m]
+    terms = gi * gamma[idx] * w
     return np.cumsum(np.concatenate(([0.0], terms))).item(-1)
 
 

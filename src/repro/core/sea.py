@@ -26,7 +26,7 @@ from .seacd import SEAStats, shrink_and_expand
 
 
 def replicator_shrink(g: LocalGraph, x: dict, p: dict | DenseGradient,
-                      eps: float = 1e-6, max_iter: int = 2000) -> int:
+                      max_iter: int = 2000) -> int:
     """Iterate the replicator dynamic on the current support; returns iters."""
     f = objective(x, p)
     it = 0
@@ -39,7 +39,7 @@ def replicator_shrink(g: LocalGraph, x: dict, p: dict | DenseGradient,
             if xu > EPS:
                 apply_delta(g, x, p, u, xu)
         f_new = objective(x, p)
-        if abs(f_new - f) <= eps:
+        if abs(f_new - f) <= 1e-6:  # the paper's loose test
             return it
         f = f_new
     return it

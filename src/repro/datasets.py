@@ -69,18 +69,10 @@ class DCSDataset:
 
     @property
     def local(self) -> LocalGraph:
+        """The driver graph over the edges' endpoints (collected once)."""
         if self._local is None:
-            # Sorted by (src, dst), each adj[i] lists its neighbours in
-            # ascending index order, whatever order the rows arrive in.
-            pdf = (self.edges.select("src", "dst", "weight").toPandas()
-                   .sort_values(["src", "dst"], ignore_index=True))
-            ids = sorted(set(pdf["src"]).union(pdf["dst"]))
-            # Integer-id families keep their isolated vertices (n as in the
-            # dataset), after the endpoints so no endpoint's index moves.
-            if ids and not isinstance(ids[0], str):
-                present = set(ids)
-                ids += [i for i in range(self.n) if i not in present]
-            self._local = from_edge_pandas(pdf, ids)
+            self._local = from_edge_pandas(
+                self.edges.select("src", "dst", "weight").toPandas())
         return self._local
 
 
@@ -193,7 +185,8 @@ def dm_single_graphs(spark: SparkSession, scale: str = "test"
                      ) -> tuple[DCSDataset, DCSDataset]:
     """The two DM keyword graphs (Table VI); DM's G_D is their difference.
 
-    Their ids are keyword strings, so ``local`` adds no isolated vertices.
+    Their ids are keyword strings and ``n`` is the vocabulary size; as
+    for every dataset, ``local`` adds no isolated vertices.
     """
     key = ("dm-single", scale)
     if key not in _CACHE:

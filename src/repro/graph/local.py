@@ -7,13 +7,16 @@ descent, replicator dynamics) run on the driver over a collected
 which is the paper's own efficiency argument (Section V-B).
 
 Vertices have arbitrary external ids (integers, or keyword strings for
-the DM single graphs); internally they are re-indexed to ``0..n-1``. The
-one driver collect is :attr:`repro.datasets.DCSDataset.local`, which
-sorts the edges so that every ``adj[i]`` is in ascending index order and
-pads integer-id graphs with their isolated vertices (present in the
-vertex universe but incident to no difference edge) so that ``n``
-matches the paper's Table II accounting. ``G_D+`` is built here, by
-:meth:`LocalGraph.positive_part`, not in Spark.
+the DM single graphs); internally they are re-indexed to ``0..n-1``.
+:func:`from_edge_pandas` is the one place that lays out a graph: it takes
+the sorted endpoint ids as the vertices and adds the canonical edges
+sorted by (src, dst), so every ``adj[i]`` is in ascending index order
+whatever order the rows arrive in. The one driver collect,
+:attr:`repro.datasets.DCSDataset.local`, hands it the collected edges, so
+a driver graph's ``n`` counts endpoints; the Table II vertex universe
+(isolated vertices included) is ``DCSDataset.n``. None of the paper's
+algorithms puts an isolated vertex into a subgraph of positive density.
+``G_D+`` is built here, by :meth:`LocalGraph.positive_part`, not in Spark.
 
 The 2-CD kernels (:mod:`repro.core.cd`) keep the gradient p = Dx in one of
 two stores, chosen per graph by :attr:`LocalGraph.rows`. The dict store
@@ -145,9 +148,12 @@ def from_edge_pandas(edges: pd.DataFrame, ids: list | None = None
                      ) -> LocalGraph:
     """Build a LocalGraph from a pandas edge list with columns src, dst, weight.
 
-    ``ids`` fixes the vertex universe (for isolated vertices); otherwise the
-    universe is the sorted set of endpoint ids.
+    The vertices are the sorted endpoint ids, unless ``ids`` fixes them
+    (with isolated vertices, say). The rows are added sorted by
+    (src, dst), so on canonical rows (src < dst) each ``adj[i]`` lists its
+    neighbours in ascending id order, whatever order the rows arrive in.
     """
+    edges = edges.sort_values(["src", "dst"], ignore_index=True)
     if ids is None:
         ids = sorted(set(edges["src"]).union(edges["dst"]))
     index = {v: i for i, v in enumerate(ids)}

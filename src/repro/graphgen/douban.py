@@ -80,14 +80,8 @@ def build_raw(kind: str, *, n: int, scale: float = 1.0, seed: int = 17):
         chung_lu_pairs(max(2, n - 2 - bg_lo), 2 * n // 3, seed=seed + 2,
                        id_offset=bg_lo),
     ]
+    # Every part is canonical (src < dst) and the parts share no pair.
     social_pdf = pd.concat(social, ignore_index=True)
-    lo_ = social_pdf[["src", "dst"]].min(axis=1)
-    hi_ = social_pdf[["src", "dst"]].max(axis=1)
-    social_pdf = (
-        pd.DataFrame({"src": lo_, "dst": hi_})
-        .drop_duplicates()
-        .reset_index(drop=True)
-    )
 
     # Ratings. Item id ranges: [0, pool_planted) identical planted lists,
     # [1000, 1000 + pool_cluster) shared cluster pool, [10000, ...) global.
@@ -131,8 +125,8 @@ def two_hop_pairs(social: DataFrame) -> DataFrame:
     return common.unionAll(direct).distinct()
 
 
-def interest_graph(spark: SparkSession, social: DataFrame,
-                   ratings: DataFrame, thr: float) -> DataFrame:
+def interest_graph(social: DataFrame, ratings: DataFrame,
+                   thr: float) -> DataFrame:
     """Unit-weight Jaccard interest graph restricted to 2-hop pairs.
 
     Rows carry their user's rating count: one grouping gives |A∩B|, |A|, |B|.
@@ -171,5 +165,5 @@ def douban_graphs(spark: SparkSession, kind: str, *, n: int,
         social_pdf.assign(weight=1.0)
     )
     ratings = spark.createDataFrame(ratings_pdf)
-    interest = interest_graph(spark, social, ratings, p["thr"])
+    interest = interest_graph(social, ratings, p["thr"])
     return social, interest, planted

@@ -1,4 +1,4 @@
-"""Dataset registry: configs, caching, universe padding, Table II sanity."""
+"""Dataset registry: configs, caching, driver graphs, Table II sanity."""
 import pytest
 from pyspark.sql import functions as F
 
@@ -21,20 +21,6 @@ def test_cache_returns_same_object(spark):
     a = get_dataset(spark, "dblp", "weighted-emerging", "test")
     b = get_dataset(spark, "dblp", "weighted-emerging", "test")
     assert a is b
-
-
-def test_local_graph_padded_to_n(spark):
-    ds = get_dataset(spark, "dblp", "weighted-emerging", "test")
-    assert ds.local.n == ds.n
-
-
-def test_local_ids_are_endpoints_then_missing_ids(spark):
-    """Padding appends the isolated ids, so endpoint indices do not move."""
-    ds = get_dataset(spark, "dblp", "discrete-emerging", "test")
-    ends = sorted({v for r in ds.edges.collect() for v in (r.src, r.dst)})
-    missing = sorted(set(range(ds.n)) - set(ends))
-    assert missing  # the dataset has isolated vertices to pad
-    assert ds.local.ids == ends + missing
 
 
 def test_generator_runs_once_per_family(spark, monkeypatch):
@@ -108,7 +94,8 @@ _CANONICAL = all_configs() + [("dm-single", "G1"), ("dm-single", "G2")]
 @pytest.mark.parametrize("family,config", _CANONICAL,
                          ids=[f"{f}-{c}" for f, c in _CANONICAL])
 def test_edges_canonical(spark, family, config):
-    """Every dataset's edges: src < dst, one row per pair, no zero weight.
+    """Every dataset's edges: src < dst, one row per pair, no zero weight;
+    its driver graph's vertices are the sorted endpoints.
 
     Actor's G_D and the DM keyword graphs are used as generated, so this
     is the only check of the invariant for them."""
@@ -121,3 +108,4 @@ def test_edges_canonical(spark, family, config):
     assert (pdf["src"] < pdf["dst"]).all()
     assert not pdf.duplicated(["src", "dst"]).any()
     assert (pdf["weight"] != 0.0).all()
+    assert ds.local.ids == sorted(set(pdf["src"]).union(pdf["dst"]))

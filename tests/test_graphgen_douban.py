@@ -77,7 +77,6 @@ def test_interest_graph_oracle(spark, case):
     social_pdf = pd.DataFrame(social, columns=["src", "dst"]).assign(weight=1.0)
     ratings_pdf = pd.DataFrame(ratings, columns=["user", "item"])
     out = douban.interest_graph(
-        spark,
         spark.createDataFrame(social_pdf),
         spark.createDataFrame(ratings_pdf),
         thr=thr,

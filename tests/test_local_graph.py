@@ -67,6 +67,18 @@ def test_duplicate_edges_summed():
     assert g.adj[0].get(1, 0.0) == 3.5
 
 
+def test_row_order_does_not_matter():
+    """Canonical rows in reverse order build the same graph, every
+    adjacency in ascending index order."""
+    pdf = pd.DataFrame({"src": [0, 0, 1, 1, 2], "dst": [1, 3, 2, 3, 3],
+                        "weight": [1.0, -2.0, 0.5, 3.0, -1.5]})
+    a = from_edge_pandas(pdf)
+    b = from_edge_pandas(pdf.iloc[::-1])
+    assert b.ids == a.ids
+    assert [list(r.items()) for r in b.adj] == [list(r.items()) for r in a.adj]
+    assert all(list(r) == sorted(r) for r in b.adj)
+
+
 def test_isolated_vertices_padded():
     g = graph_from_triples([(0, 1, 1.0)], n=5)
     assert g.n == 5

@@ -19,7 +19,7 @@ def test_replicator_monotone_objective():
     g = random_positive_graph(8, 0.6, 1)
     x, p = init_state(g, {i: 1.0 / g.n for i in range(g.n)})
     f0 = objective(x, p)
-    replicator_shrink(g, x, p, eps=1e-12, max_iter=500)
+    replicator_shrink(g, x, p, max_iter=500)
     assert objective(x, p) >= f0 - 1e-9
 
 
