@@ -105,7 +105,7 @@ def _douban(kind, spark, scale):
 
 def _dblpc(spark, scale):
     p = _SCALES[scale]["dblpc"]
-    g1, g2 = bigco.dblpc_graphs(spark, **p)
+    g1, g2 = coauthor.era_graphs(spark, bigco.dblpc_events(**p))
     return diff.difference(g1, g2), p["n"], dict(bigco.DBLPC_PLANTED), None
 
 

@@ -1,9 +1,11 @@
 """Synthetic DBLP-C and Actor collaboration networks (Appendix B-3).
 
-DBLP-C: timestamped co-authorship events split at the median timestamp
-into G1/G2; planted pair with weight difference 400 (weighted affinity
-200, as in Table XIV), a 26-clique of raw difference 6 (discrete weight
-2 → affinity 50/26 ≈ 1.92) and an extreme negative pair (−186, Table II).
+DBLP-C: papers at uniform times in [0, 1), counted per (pair, era) on the
+driver with the median time 0.5 as the era boundary, in the columns of
+DBLP's events, so :func:`.coauthor.era_graphs` splits them into G1/G2;
+planted pair with weight difference 400 (weighted affinity 200, as in
+Table XIV), a 26-clique of raw difference 6 (discrete weight 2 → affinity
+50/26 ≈ 1.92) and an extreme negative pair (−186, Table II).
 
 Actor: an all-positive collaboration network used directly as the
 difference graph; weights ≈ 1 + Poisson (mean ≈ 1.1 as in Table II);
@@ -18,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from .background import chung_lu_pairs, clique_edges
 
@@ -35,40 +36,30 @@ ACTOR_PLANTED = {
 
 
 def dblpc_events(n: int, bg_pairs: int, seed: int = 19) -> pd.DataFrame:
-    """Columns src, dst, t (timestamp in [0,1]), one row per paper."""
+    """Papers per (pair, era): columns src, dst, era, papers, as
+    :func:`.coauthor.events`.
+
+    A background pair writes 1 + Poisson(1) papers at uniform times in
+    [0, 1); those at or after 0.5 fall in era 2. The planted pairs get
+    their era counts directly.
+    """
     g = np.random.default_rng(seed)
     bg = chung_lu_pairs(n - 40, bg_pairs, seed=seed, id_offset=40)
     c = 1 + g.poisson(1.0, len(bg))
-    rows = []
-    for (s, d), k in zip(bg.itertuples(index=False), c):
-        for t in g.uniform(0.0, 1.0, k):
-            rows.append((s, d, float(t)))
-
-    def planted_pair(u, v, n1, n2):
-        for t in g.uniform(0.0, 0.5, n1):
-            rows.append((u, v, float(t)))
-        for t in g.uniform(0.5, 1.0, n2):
-            rows.append((u, v, float(t)))
-
-    planted_pair(0, 1, 5, 405)  # diff +400
-    planted_pair(2, 3, 188, 2)  # diff -186
-    cq = DBLPC_PLANTED["disc-clique"]
-    for i in range(len(cq)):
-        for j in range(i + 1, len(cq)):
-            planted_pair(cq[i], cq[j], 1, 7)  # diff +6 -> discrete 2
-    return pd.DataFrame(rows, columns=["src", "dst", "t"])
-
-
-def dblpc_graphs(spark: SparkSession, n: int, bg_pairs: int,
-                 seed: int = 19) -> tuple[DataFrame, DataFrame]:
-    """Split events at t=0.5 and aggregate the two co-author graphs."""
-    ev = spark.createDataFrame(dblpc_events(n, bg_pairs, seed=seed))
-    agg = ev.groupBy(
-        "src", "dst", (F.col("t") >= 0.5).alias("late")
-    ).agg(F.count("*").cast("double").alias("weight"))
-    g1 = agg.where(~F.col("late")).drop("late")
-    g2 = agg.where(F.col("late")).drop("late")
-    return g1, g2
+    late = g.uniform(0.0, 1.0, c.sum()) >= 0.5
+    # Every pair has c >= 1 papers, so no reduceat segment is empty.
+    bg_late = np.add.reduceat(late.astype(int), np.cumsum(c) - c)
+    cq = clique_edges(DBLPC_PLANTED["disc-clique"])
+    src = np.concatenate([bg["src"], [0, 2], cq["src"]])
+    dst = np.concatenate([bg["dst"], [1, 3], cq["dst"]])
+    # Planted era counts: diff +400, diff -186, and +6 -> discrete 2.
+    e1 = np.concatenate([c - bg_late, [5, 188], np.full(len(cq), 1)])
+    e2 = np.concatenate([bg_late, [405, 2], np.full(len(cq), 7)])
+    ev = pd.concat([
+        pd.DataFrame({"src": src, "dst": dst, "era": era, "papers": papers})
+        for era, papers in ((1, e1), (2, e2))
+    ], ignore_index=True)
+    return ev[ev["papers"] > 0].reset_index(drop=True)
 
 
 def actor_edges(n: int, bg_pairs: int, seed: int = 23) -> pd.DataFrame:

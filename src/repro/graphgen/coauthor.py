@@ -74,7 +74,10 @@ def events(n: int, bg_pairs: int, seed: int = 7) -> pd.DataFrame:
 
 
 def era_graphs(spark: SparkSession, ev: pd.DataFrame) -> tuple[DataFrame, DataFrame]:
-    """The two weighted co-author graphs (Spark): one era's events each."""
+    """The two weighted co-author graphs (Spark): one era's events each.
+
+    ``ev`` is :func:`events` or DBLP-C's ``bigco.dblpc_events``.
+    """
     df = spark.createDataFrame(ev)
     weight = F.col("papers").cast("double").alias("weight")
     g1 = df.where(F.col("era") == 1).select("src", "dst", weight)

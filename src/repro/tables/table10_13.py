@@ -1,18 +1,18 @@
-"""Tables X–XIII — DCS on the Wiki and Douban difference graphs.
+"""Tables X–XIV — DCS on the Wiki, Douban, DBLP-C and Actor graphs.
 
 X / XII (average degree): DCSGreedy plus the two raw greedy variants
-("G_D only" and "G_D+ only") per configuration. XI / XIII (graph
+("G_D only" and "G_D+ only") per configuration. XI / XIII / XIV (graph
 affinity): the NewSEA solution with its affinity and edge-density
-differences.
+differences. :func:`.common.solution_row` describes every solution.
 """
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
 from ..core.dcsad import dcs_greedy
-from ..core.metrics import edge_density, is_positive_clique
 from ..core.newsea import newsea
 from ..datasets import CONFIGS, get_dataset
+from .common import solution_row
 
 COLUMNS_AD = [
     "data", "gd_type",
@@ -30,40 +30,28 @@ def run_avg_degree(spark: SparkSession, families: list,
     for fam in families:
         for cfg in CONFIGS[fam]:
             ds = get_dataset(spark, fam, cfg, scale)
-            g = ds.local
-            r = dcs_greedy(g)
-            s_gd, rho_gd = r.candidates["greedy_gd"]
-            s_gp, rho_gp = r.candidates["greedy_gdplus"]
-            rows.append(
-                {
-                    "data": fam, "gd_type": cfg,
-                    "dcsg_size": len(r.S), "dcsg_rho": r.rho,
-                    "dcsg_ratio": r.ratio,
-                    "dcsg_pos_clique": is_positive_clique(g, r.S),
-                    "gd_size": len(s_gd), "gd_rho": rho_gd,
-                    "gd_pos_clique": is_positive_clique(g, s_gd),
-                    "gdp_size": len(s_gp), "gdp_rho": rho_gp,
-                    "gdp_pos_clique": is_positive_clique(g, s_gp),
-                }
-            )
+            r = dcs_greedy(ds.local)
+            row = {"data": fam, "gd_type": cfg, "dcsg_ratio": r.ratio}
+            for prefix, S in (("dcsg", r.S),
+                              ("gd", r.candidates["greedy_gd"][0]),
+                              ("gdp", r.candidates["greedy_gdplus"][0])):
+                sol = solution_row(ds, S)
+                row[f"{prefix}_size"] = sol["size"]
+                row[f"{prefix}_rho"] = sol["avg_degree_diff"]
+                row[f"{prefix}_pos_clique"] = sol["positive_clique"]
+            rows.append(row)
     return rows
 
 
 def run_affinity(spark: SparkSession, families: list,
                  scale: str = "bench") -> list:
-    """Table XI (["wiki"]) / XIII (["movie", "book"]) / XIV core loop."""
+    """Table XI (["wiki"]) / XIII (["movie", "book"]) / XIV (["dblpc",
+    "actor"])."""
     rows = []
     for fam in families:
         for cfg in CONFIGS[fam]:
             ds = get_dataset(spark, fam, cfg, scale)
-            g = ds.local
-            res = newsea(g.positive_part())
-            S = sorted(res.x)
-            rows.append(
-                {
-                    "data": fam, "gd_type": cfg, "size": len(S),
-                    "affinity_diff": res.f,
-                    "edge_density_diff": edge_density(g, S),
-                }
-            )
+            res = newsea(ds.local.positive_part())
+            rows.append({"data": fam, "gd_type": cfg,
+                         **solution_row(ds, list(res.x), x=res.x)})
     return rows

@@ -7,6 +7,8 @@ import numpy as np
 import pandas as pd
 
 from repro.graph.local import LocalGraph, from_edge_pandas
+from repro.graphgen.background import chung_lu_pairs
+from repro.graphgen.bigco import DBLPC_PLANTED
 
 
 def graph_from_triples(triples, n=None) -> LocalGraph:
@@ -146,3 +148,37 @@ def with_store(g: LocalGraph, dense: bool) -> LocalGraph:
     out.rows = [None] * g.n if dense else None
     return out
 
+
+def dblpc_events_reference(n: int, bg_pairs: int, seed: int = 19
+                           ) -> pd.DataFrame:
+    """Papers per (pair, era) that ``bigco.dblpc_events`` must equal,
+    sorted by (src, dst, era).
+
+    Draws one timestamp per paper, pair by pair, with the planted pairs'
+    papers drawn inside their era, and counts the papers of each era
+    (t < 0.5 is era 1).
+    """
+    g = np.random.default_rng(seed)
+    bg = chung_lu_pairs(n - 40, bg_pairs, seed=seed, id_offset=40)
+    c = 1 + g.poisson(1.0, len(bg))
+    rows = []
+    for (s, d), k in zip(bg.itertuples(index=False), c):
+        for t in g.uniform(0.0, 1.0, k):
+            rows.append((s, d, float(t)))
+
+    def planted_pair(u, v, n1, n2):
+        for t in g.uniform(0.0, 0.5, n1):
+            rows.append((u, v, float(t)))
+        for t in g.uniform(0.5, 1.0, n2):
+            rows.append((u, v, float(t)))
+
+    planted_pair(0, 1, 5, 405)
+    planted_pair(2, 3, 188, 2)
+    cq = DBLPC_PLANTED["disc-clique"]
+    for i in range(len(cq)):
+        for j in range(i + 1, len(cq)):
+            planted_pair(cq[i], cq[j], 1, 7)
+    papers = pd.DataFrame(rows, columns=["src", "dst", "t"])
+    papers["era"] = np.where(papers["t"] >= 0.5, 2, 1)
+    return (papers.groupby(["src", "dst", "era"]).size().rename("papers")
+            .reset_index())

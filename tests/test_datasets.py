@@ -4,7 +4,7 @@ from pyspark.sql import functions as F
 
 from repro import datasets
 from repro.datasets import CONFIGS, DCSDataset, all_configs, get_dataset
-from repro.graphgen import coauthor
+from repro.graphgen import bigco, coauthor
 
 
 def test_all_configs_count():
@@ -23,14 +23,19 @@ def test_cache_returns_same_object(spark):
     assert a is b
 
 
-def test_generator_runs_once_per_family(spark, monkeypatch):
+@pytest.mark.parametrize("family,module,name", [
+    ("dblp", coauthor, "events"),
+    ("dblpc", bigco, "dblpc_events"),
+], ids=["dblp", "dblpc"])
+def test_generator_runs_once_per_family(spark, monkeypatch, family, module,
+                                        name):
     calls = []
-    events = coauthor.events
-    monkeypatch.setattr(coauthor, "events",
+    events = getattr(module, name)
+    monkeypatch.setattr(module, name,
                         lambda *a, **k: calls.append(1) or events(*a, **k))
     monkeypatch.setattr(datasets, "_CACHE", {})
-    for cfg in CONFIGS["dblp"]:
-        get_dataset(spark, "dblp", cfg, "test")
+    for cfg in CONFIGS[family]:
+        get_dataset(spark, family, cfg, "test")
     assert len(calls) == 1
 
 

@@ -1,30 +1,30 @@
-"""DBLP-C and Actor generators: planted structures, Spark era split."""
+"""DBLP-C and Actor generators: per-era paper counts, planted structures."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graph.difference import cap_weights, difference
-from repro.graphgen import bigco
+from repro.graphgen import bigco, coauthor
 
-from tests.oracle import assert_equivalent
+from tests.helpers import dblpc_events_reference
 
 
 @pytest.fixture(scope="module")
 def dblpc(spark):
-    g1, g2 = bigco.dblpc_graphs(spark, 300, 500)
+    g1, g2 = coauthor.era_graphs(spark, bigco.dblpc_events(300, 500))
     return g1.cache(), g2.cache()
 
 
-def test_dblpc_events_oracle(spark):
-    ev = bigco.dblpc_events(200, 300)
-    g1, _ = bigco.dblpc_graphs(spark, 200, 300)
-    assert_equivalent(
-        g1,
-        """
-        SELECT src, dst, CAST(count(*) AS DOUBLE) AS weight
-        FROM ev WHERE t < 0.5 GROUP BY src, dst
-        """,
-        ev=ev,
-    )
+@pytest.mark.parametrize("n,bg_pairs,seed", [
+    (200, 300, 19), (300, 500, 19), (900, 2000, 19), (300, 500, 5),
+])
+def test_dblpc_events_match_per_paper_reference(n, bg_pairs, seed):
+    """Counting each era's papers per pair gives the counts of a loop that
+    draws each paper's time on its own, from the same random numbers."""
+    ev = bigco.dblpc_events(n, bg_pairs, seed=seed)
+    got = ev.sort_values(["src", "dst", "era"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(
+        got, dblpc_events_reference(n, bg_pairs, seed=seed))
 
 
 def test_dblpc_heavy_pair(spark, dblpc):

@@ -1,9 +1,10 @@
-"""DBLP-style co-author generator: planted weights and Spark aggregation."""
+"""Co-author generators: event shape (DBLP and DBLP-C), DBLP's planted
+weights and Spark era split."""
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graph.difference import difference
-from repro.graphgen import coauthor
+from repro.graphgen import bigco, coauthor
 
 from tests.oracle import assert_equivalent
 
@@ -19,18 +20,27 @@ def graphs(spark, ev):
     return g1.cache(), g2.cache()
 
 
-def test_events_deterministic():
-    a = coauthor.events(300, 600)
-    b = coauthor.events(300, 600)
-    assert a.equals(b)
+_EVENTS = [lambda: coauthor.events(300, 600),
+           lambda: bigco.dblpc_events(300, 500)]
+_EVENT_IDS = ["dblp", "dblpc"]
 
 
-def test_events_positive_counts(ev):
-    assert (ev["papers"] > 0).all()
+@pytest.mark.parametrize("make", _EVENTS, ids=_EVENT_IDS)
+def test_events_deterministic(make):
+    assert make().equals(make())
 
 
-def test_events_one_row_per_pair_and_era(ev):
+@pytest.mark.parametrize("make", _EVENTS, ids=_EVENT_IDS)
+def test_events_positive_counts(make):
+    assert (make()["papers"] > 0).all()
+
+
+@pytest.mark.parametrize("make", _EVENTS, ids=_EVENT_IDS)
+def test_events_one_row_per_pair_and_era(make):
     """``era_graphs`` filters the events without grouping them."""
+    ev = make()
+    assert list(ev.columns) == ["src", "dst", "era", "papers"]
+    assert set(ev["era"]) == {1, 2}
     assert (ev["src"] < ev["dst"]).all()
     assert not ev.duplicated(["src", "dst", "era"]).any()
 

@@ -1,10 +1,18 @@
-"""Tables II, VII and XIV harnesses, and the DCSGA claims on every config
-(test scale)."""
+"""Tables II, VII and XIV harnesses, and the DCSGA claims, Theorems 4–6
+among them, on every config (test scale)."""
 import pytest
 
+from repro.core.cd import objective
+from repro.core.expansion import expansion_candidates
+from repro.core.kbounds import smart_init_bounds_local
 from repro.core.metrics import is_positive_clique
+from repro.core.seacd import seacd
 from repro.datasets import all_configs, get_dataset
 from repro.tables import table02, table07, table10_13
+
+_ALL = pytest.mark.parametrize(
+    "family,config", all_configs(), ids=[f"{f}-{c}" for f, c in all_configs()]
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +94,7 @@ def test_table14_weighted_tiny_discrete_clique(t14):
     assert by[("actor", "discrete")]["size"] == 21  # paper: 21
 
 
-@pytest.mark.parametrize(
-    "family,config", all_configs(), ids=[f"{f}-{c}" for f, c in all_configs()]
-)
+@_ALL
 def test_dcsga_claims_on_every_config(spark, dcsga_runs, family, config):
     """Zero SEACD expansion errors, f(NewSEA) >= f(full-init SEACD+Refine)
     and a positive-clique NewSEA support (Theorem 5), on the dict-store
@@ -98,3 +104,28 @@ def test_dcsga_claims_on_every_config(spark, dcsga_runs, family, config):
     assert new.f >= full.f - 1e-6
     gd = get_dataset(spark, family, config, "test").local
     assert is_positive_clique(gd, list(new.x))
+
+
+@_ALL
+def test_mu_bounds_every_full_init_clique(spark, dcsga_runs, family, config):
+    """Theorem 6: f <= mu_u for every vertex u of every clique that
+    full-init SEACD+Refine reaches on G_D+."""
+    full = dcsga_runs(family, config)[0]
+    gdp = get_dataset(spark, family, config, "test").local.positive_part()
+    mu = smart_init_bounds_local(gdp)
+    assert full.cliques
+    for T, f, _ in full.cliques:
+        assert f <= min(mu[u] for u in T) * (1 + 1e-9)
+
+
+@_ALL
+def test_seacd_stops_at_global_kkt_from_every_vertex(spark, family, config):
+    """Theorem 4: SEACD from every vertex of G_D+ stops because Z is
+    empty, never at its round cap."""
+    gdp = get_dataset(spark, family, config, "test").local.positive_part()
+    for u in range(gdp.n):
+        if not gdp.adj[u]:
+            continue
+        x, p, st = seacd(gdp, u)
+        assert expansion_candidates(x, p, objective(x, p)) == [], u
+        assert st.outer_iters < 500, u
