@@ -12,9 +12,10 @@ fixed point for this objective:
 * drop any member whose weighted degree inside S is negative,
 
 repeated until stable (each step strictly increases ``W_D(S)``, so the
-search terminates; 200k steps cap it regardless). Seeds are the top-25
-vertices by positive degree. This reproduces the qualitative behaviour
-reported in Tables VIII/IX: much larger subgraphs with much larger
+search terminates; ``MAX_STEPS`` caps it regardless, and
+``EgoScanResult.capped`` counts the searches that hit the cap). Seeds are
+the top-25 vertices by positive degree. This reproduces the qualitative
+behaviour reported in Tables VIII/IX: much larger subgraphs with much larger
 ``W_D(S)`` but far lower average-degree / edge-density difference than
 the DCS algorithms, at a higher runtime than DCSGreedy.
 """
@@ -24,15 +25,20 @@ from dataclasses import dataclass
 
 from ..graph.local import LocalGraph
 
+# Add/drop steps after which one local search stops (and counts as capped).
+MAX_STEPS = 200_000
+
 
 @dataclass
 class EgoScanResult:
     S: list
     total_weight: float  # W_D(S), double-counted convention
     n_edges: int
+    capped: int = 0  # seeds whose local search stopped at MAX_STEPS
 
 
-def _local_search(g: LocalGraph, seed_set: set) -> set:
+def _local_search(g: LocalGraph, seed_set: set) -> tuple[set, bool]:
+    """The add/drop fixed point from ``seed_set``; returns (S, capped)."""
     S = set(seed_set)
     # deg[v] = weighted degree of v into S, maintained incrementally for
     # both members and the boundary.
@@ -40,7 +46,7 @@ def _local_search(g: LocalGraph, seed_set: set) -> set:
     for u in S:
         for v, w in g.adj[u].items():
             deg[v] = deg.get(v, 0.0) + w
-    for _ in range(200_000):
+    for _ in range(MAX_STEPS):
         drop = None
         drop_val = -1e-12
         add = None
@@ -60,8 +66,8 @@ def _local_search(g: LocalGraph, seed_set: set) -> set:
             for u, w in g.adj[add].items():
                 deg[u] = deg.get(u, 0.0) + w
         else:
-            break
-    return S
+            return S, False
+    return S, True
 
 
 def egoscan(gd: LocalGraph) -> EgoScanResult:
@@ -74,9 +80,11 @@ def egoscan(gd: LocalGraph) -> EgoScanResult:
     seeds = sorted(pos_deg, key=pos_deg.__getitem__, reverse=True)[:25]
     best: set = set()
     best_w = 0.0
+    capped = 0
     for s in seeds:
         ego = {s} | {v for v, w in gd.adj[s].items() if w > 0}
-        S = _local_search(gd, ego)
+        S, hit_cap = _local_search(gd, ego)
+        capped += hit_cap
         w = gd.subgraph_weight(S)
         if w > best_w:
             best_w, best = w, S
@@ -86,4 +94,4 @@ def egoscan(gd: LocalGraph) -> EgoScanResult:
         for j in gd.adj[i]
         if j in best and i < j
     )
-    return EgoScanResult(sorted(best), 2.0 * best_w, n_edges)
+    return EgoScanResult(sorted(best), 2.0 * best_w, n_edges, capped)

@@ -34,6 +34,9 @@ class DCSGAResult:
     inits: int  # number of initializations actually run
     expansion_errors: int = 0
     cliques: list | None = None  # [(frozenset support, f, x)], best f first
+    # Starts whose Shrink-and-Expansion loop stopped with Z non-empty
+    # (stagnation guard or round cap), i.e. short of a global KKT point.
+    unconverged: int = 0
 
 
 def _multi_start(gdp: LocalGraph, order, start,
@@ -43,12 +46,14 @@ def _multi_start(gdp: LocalGraph, order, start,
     ``start(gdp, u)`` returns (x, p, stats). Callers read ``start`` at call
     time, as this loop reads ``refine``, so patched solvers are used. With
     ``bound``, stops at the first start whose bound ``bound[u]`` cannot
-    beat the best f found. Collects every distinct positive clique found.
+    beat the best f found. Collects every distinct positive clique found,
+    and counts the starts whose loop did not stop on an empty Z.
     """
     best_x: dict = {}
     best_f = 0.0
     inits = 0
     errors = 0
+    unconverged = 0
     cliques: dict = {}
     for u in order:
         if bound is not None and bound[u] <= best_f:
@@ -58,6 +63,7 @@ def _multi_start(gdp: LocalGraph, order, start,
         refine(gdp, x, p)
         f = objective(x, p)
         errors += stats.expansion_errors
+        unconverged += stats.stop != "empty_z"
         key = frozenset(x.keys())
         if key and (key not in cliques or f > cliques[key][0]):
             cliques[key] = (f, x)
@@ -67,7 +73,7 @@ def _multi_start(gdp: LocalGraph, order, start,
         best_x = {0: 1.0}
     out = [(k, f, x) for k, (f, x) in cliques.items()]
     out.sort(key=lambda t: -t[1])
-    return DCSGAResult(best_x, best_f, inits, errors, out)
+    return DCSGAResult(best_x, best_f, inits, errors, out, unconverged)
 
 
 def newsea(gdp: LocalGraph) -> DCSGAResult:

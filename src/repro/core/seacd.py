@@ -22,6 +22,9 @@ class SEAStats:
     shrink_iters: int = 0
     outer_iters: int = 0
     expansion_errors: int = 0  # expansions that decreased f (Section VI-A)
+    # Why the loop stopped: "empty_z" (a global KKT point, Theorem 4),
+    # "stagnation" (the stale-expansion guard) or "max_outer".
+    stop: str = ""
 
 
 def shrink_and_expand(g: LocalGraph, x0: dict, shrink, level=None,
@@ -32,7 +35,8 @@ def shrink_and_expand(g: LocalGraph, x0: dict, shrink, level=None,
     iteration count. ``level(x, p)`` gives the lambda/2 that Expansion
     compares gradients against; ``None`` means the exact f(x). Stops when
     Z is empty, after ``max_outer`` rounds, or after 3 expansions in a row
-    without progress. Returns (x, p, stats).
+    without progress, and records which in ``stats.stop``. Returns
+    (x, p, stats).
     """
     x, p = init_state(g, x0)
     stats = SEAStats()
@@ -44,6 +48,7 @@ def shrink_and_expand(g: LocalGraph, x0: dict, shrink, level=None,
         lam2 = f_before if level is None else level(x, p)
         Z = expansion_candidates(x, p, level=lam2)
         if not Z:
+            stats.stop = "empty_z"
             break
         expand(g, x, p, Z, level=lam2)
         f_after = objective(x, p)
@@ -53,7 +58,10 @@ def shrink_and_expand(g: LocalGraph, x0: dict, shrink, level=None,
         # marginally non-empty without measurable progress.
         stale = stale + 1 if f_after <= f_before + 1e-12 else 0
         if stale >= 3:
+            stats.stop = "stagnation"
             break
+    else:
+        stats.stop = "max_outer"
     return x, p, stats
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities: small graph builders and brute-force oracles."""
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
@@ -136,6 +137,52 @@ def dedup_cliques_reference(cliques: list) -> list:
         ]
     kept.sort(key=lambda t: -t[1])
     return kept
+
+
+def greedy_peel_reference(g: LocalGraph) -> tuple[list, float]:
+    """The lazy-heap Charikar peel that ``greedy.greedy_peel`` must equal.
+
+    Pops (degree, vertex) from a binary heap, so ties go to the lowest
+    index, and pushes a fresh entry for every neighbour of a removed
+    vertex; an entry is current iff it carries the vertex's present degree.
+    """
+    alive = set(range(g.n))
+    if not alive:
+        return [], 0.0
+    deg = {v: 0.0 for v in alive}
+    total = 0.0  # sum of unordered edge weights
+    for v in alive:
+        for u, w in g.adj[v].items():
+            deg[v] += w
+            if u < v:
+                total += w
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
+    order = []  # removal order
+    n_alive = len(alive)
+    best_rho = 2.0 * total / n_alive
+    best_size = n_alive
+    while n_alive > 1:
+        while True:
+            d, v = heapq.heappop(heap)
+            if v in alive and d == deg[v]:
+                break
+        alive.discard(v)
+        order.append(v)
+        total -= deg[v]
+        n_alive -= 1
+        for u, w in g.adj[v].items():
+            if u in alive:
+                deg[u] -= w
+                heapq.heappush(heap, (deg[u], u))
+        rho = 2.0 * total / n_alive
+        if rho > best_rho:
+            best_rho = rho
+            best_size = n_alive
+    if 0.0 > best_rho:
+        best_rho, best_size = 0.0, 1
+    S = sorted(set(range(g.n)).difference(order[: g.n - best_size]))
+    return S, best_rho
 
 
 def with_store(g: LocalGraph, dense: bool) -> LocalGraph:

@@ -1,7 +1,9 @@
 """EgoScan substitute: maximizes total weight, matches brute force on small graphs."""
 import pytest
 
+from repro.baselines import egoscan as egoscan_mod
 from repro.baselines.egoscan import egoscan
+from repro.datasets import CONFIGS, get_dataset
 
 from tests.helpers import (
     brute_force_max_total,
@@ -68,3 +70,21 @@ def test_bigger_than_densest_on_chain_of_positives():
     g = graph_from_triples([(s, d, w) for s, d, w in triples])
     r = egoscan(g)
     assert len(r.S) == 21  # the whole positive chain
+
+
+def test_capped_counts_searches_stopped_at_the_step_cap(monkeypatch):
+    triples = [(i, i + 1, 1.0) for i in range(20)]
+    g = graph_from_triples(triples)
+    assert egoscan(g).capped == 0
+    # Each seed's ego net is at most 3 vertices of the 21-vertex chain, so
+    # every search needs more than 3 add steps.
+    monkeypatch.setattr(egoscan_mod, "MAX_STEPS", 3)
+    r = egoscan(g)
+    assert r.capped == 21 and len(r.S) < 21
+
+
+@pytest.mark.parametrize("config", CONFIGS["dblp"])
+def test_no_search_capped_on_dblp(spark, config):
+    """Tables VIII/IX's EgoScan runs reach their add/drop fixed point."""
+    gd = get_dataset(spark, "dblp", config, "test").local
+    assert egoscan(gd).capped == 0

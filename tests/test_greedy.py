@@ -1,15 +1,68 @@
-"""Exact Charikar greedy peeling: hand cases, invariants, flow cross-check."""
+"""Exact Charikar greedy peeling: hand cases, invariants, flow cross-check,
+and bit-identity with the lazy-heap reference peel."""
+import random
+
 import pytest
 
 from repro.core.greedy import greedy_peel
 from repro.core.maxflow import exact_densest
+from repro.datasets import all_configs, get_dataset
 
 from tests.helpers import (
     brute_force_densest,
     graph_from_triples,
+    greedy_peel_reference,
     random_positive_graph,
     random_signed_graph,
 )
+
+
+def _tied_graph(seed: int, weights=(-2.0, -1.0, 1.0, 2.0)):
+    """A random graph whose few distinct weights make many degree ties,
+    with isolated vertices in the middle and at the end of the index
+    range, and every adjacency dict in a shuffled order."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    p = rng.choice([0.1, 0.3, 0.6])
+    triples = [(i, j, rng.choice(weights)) for i in range(n)
+               for j in range(i + 1, n) if rng.random() < p]
+    g = graph_from_triples(triples, n=n + rng.randint(0, 4))
+    g.adj = [dict(rng.sample(sorted(a.items()), len(a))) for a in g.adj]
+    return g
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_peel_equals_heap_reference_with_ties(seed):
+    g = _tied_graph(seed)
+    assert greedy_peel(g) == greedy_peel_reference(g)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_peel_equals_heap_reference_all_negative(seed):
+    g = _tied_graph(seed + 1000, weights=(-2.0, -1.0))
+    assert greedy_peel(g) == greedy_peel_reference(g)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_peel_equals_heap_reference_uniform_weights(seed):
+    g = random_signed_graph(60, 0.2, seed + 200)
+    assert greedy_peel(g) == greedy_peel_reference(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_peel_equals_heap_reference_edgeless(n):
+    g = graph_from_triples([], n=n)
+    assert greedy_peel(g) == greedy_peel_reference(g)
+
+
+@pytest.mark.parametrize(
+    "family,config", all_configs(), ids=[f"{f}-{c}" for f, c in all_configs()]
+)
+def test_peel_equals_heap_reference_on_every_config(spark, family, config):
+    """The two peels DCSGreedy runs, on G_D and on G_D+, bit for bit."""
+    gd = get_dataset(spark, family, config, "test").local
+    for g in (gd, gd.positive_part()):
+        assert greedy_peel(g) == greedy_peel_reference(g)
 
 
 def test_single_edge():

@@ -1,6 +1,7 @@
 """SEACD (Algorithm 3): global KKT at termination, quality on known graphs."""
 import pytest
 
+from repro.core import seacd as seacd_mod
 from repro.core.cd import local_kkt, objective
 from repro.core.seacd import seacd, shrink_and_expand
 
@@ -82,3 +83,21 @@ def test_x0_dict_start():
     x, p, _ = shrink_and_expand(
         g, {0: 0.5, 1: 0.5}, lambda x, p: local_kkt(g, x, p, list(x)))
     assert objective(x, p) == pytest.approx(2.0 * 2 / 3, rel=1e-3)
+
+
+def test_stop_reason_empty_z():
+    g = graph_from_triples([(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0)])
+    assert seacd(g, start_vertex=0)[2].stop == "empty_z"
+    assert seacd(g, start_vertex=0, max_outer=1)[2].stop == "max_outer"
+
+
+@pytest.mark.parametrize("max_outer,stop", [(2, "max_outer"),
+                                            (500, "stagnation")])
+def test_stop_reason_without_progress(monkeypatch, max_outer, stop):
+    """With Expansion a no-op, Z stays non-empty and f never rises: the
+    loop stops at the third stale round, or earlier at its round cap."""
+    monkeypatch.setattr(seacd_mod, "expand", lambda g, x, p, Z, level: None)
+    g = graph_from_triples([(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0)])
+    stats = seacd(g, start_vertex=0, max_outer=max_outer)[2]
+    assert stats.stop == stop
+    assert stats.outer_iters == min(max_outer, 3)

@@ -107,6 +107,14 @@ def test_dcsga_claims_on_every_config(spark, dcsga_runs, family, config):
 
 
 @_ALL
+def test_full_init_starts_stop_on_empty_z(dcsga_runs, family, config):
+    """Every full-init SEACD+Refine start ends at a global KKT point
+    (Theorem 4): none stops on the stagnation guard or the round cap."""
+    full = dcsga_runs(family, config)[0]
+    assert full.inits > 0 and full.unconverged == 0
+
+
+@_ALL
 def test_mu_bounds_every_full_init_clique(spark, dcsga_runs, family, config):
     """Theorem 6: f <= mu_u for every vertex u of every clique that
     full-init SEACD+Refine reaches on G_D+."""
