@@ -10,9 +10,7 @@ and ``p`` holds (D x)_i for every vertex with a supported neighbor
   32 (DBLP, DBLP-C, test-scale wiki, most Douban configs);
 * a :class:`DenseGradient`, a numpy vector updated one adjacency row at a
   time, from 32 up (DM, actor, bench-scale wiki, the densest Douban
-  config), where it takes 0.4-0.7 of the dict store's time; at degree
-  16.5 and below it takes 1.2-3.6 times as long (the measured table is in
-  :mod:`repro.graph.local`).
+  config). The measured crossover is tabled in :mod:`repro.graph.local`.
 
 Both give bit-identical results: every entry receives the same IEEE
 products in the same order, Expansion's candidates come in index order,
@@ -91,8 +89,7 @@ def init_state(g: LocalGraph, x0: dict) -> tuple[dict, dict | DenseGradient]:
     x: dict = {}
     p = {} if g.rows is None else DenseGradient(g)
     for u, v in x0.items():
-        if v > 0.0:
-            apply_delta(g, x, p, u, v)
+        apply_delta(g, x, p, u, v)
     return x, p
 
 

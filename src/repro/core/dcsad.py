@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ..graph.local import LocalGraph
 from .greedy import greedy_peel
+from .kbounds import max_incident_weight
 from .metrics import avg_degree
 
 
@@ -25,19 +26,18 @@ class DCSADResult:
 
 def dcs_greedy(gd: LocalGraph) -> DCSADResult:
     """Run Algorithm 2 on a difference graph (internal-index LocalGraph)."""
+    # The max-weight edge: the first vertex with the largest m_u, and its
+    # first neighbour at that weight. That vertex is the smallest endpoint
+    # of any heaviest edge, so its heaviest partners all lie above it.
+    m = max_incident_weight(gd)
+    w = max(m.values(), default=0.0)
     # Case 1: no positive edges — any single vertex is optimal (density 0).
-    best_edge = None
-    best_w = 0.0
-    for i in range(gd.n):
-        for j, w in gd.adj[i].items():
-            if i < j and w > best_w:
-                best_w = w
-                best_edge = (i, j)
-    if best_edge is None:
+    if w <= 0.0:
         return DCSADResult([0] if gd.n else [], 0.0, 1.0, {})
+    i = next(u for u, mu in m.items() if mu == w)
+    s_edge = [i, next(j for j, wj in gd.adj[i].items() if wj == w)]
 
     gdp = gd.positive_part()
-    s_edge = list(best_edge)
     s1, _ = greedy_peel(gd)
     s2, _ = greedy_peel(gdp)
 

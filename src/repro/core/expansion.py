@@ -85,11 +85,10 @@ def expand(g: LocalGraph, x: dict, p: dict | DenseGradient, Z: list,
     else:
         tau = min(1.0 / s, zeta / a)
 
-    deltas = {}
+    # Z lies outside the support, so each vertex moves once: the support
+    # by x_u * (1 - tau s) - x_u, then Z by tau * gamma_i.
     scale = 1.0 - tau * s
     for u, xu in list(x.items()):
-        deltas[u] = xu * scale - xu
+        apply_delta(g, x, p, u, xu * scale - xu)
     for i in Z:
-        deltas[i] = deltas.get(i, 0.0) + tau * gamma[i]
-    for u, d in deltas.items():
-        apply_delta(g, x, p, u, d)
+        apply_delta(g, x, p, i, tau * gamma[i])

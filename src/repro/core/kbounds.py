@@ -47,16 +47,14 @@ def core_numbers_exact(g: LocalGraph) -> dict:
 
 def max_incident_weight(g: LocalGraph) -> dict:
     """{index: m_u}, u's largest incident weight, for non-isolated u."""
-    return {i: max(g.adj[i].values()) for i in range(g.n) if g.adj[i]}
+    return {i: max(a.values()) for i, a in enumerate(g.adj) if a}
 
 
-def egonet_max_weight_local(g: LocalGraph, m: dict | None = None) -> dict:
+def egonet_max_weight_local(g: LocalGraph, m: dict) -> dict:
     """{index: w_u} for every non-isolated vertex of a positive graph.
 
-    ``m`` is :func:`max_incident_weight` of ``g``, if already computed.
+    ``m`` is :func:`max_incident_weight` of ``g``.
     """
-    if m is None:
-        m = max_incident_weight(g)
     out = {}
     for i, mi in m.items():
         w = mi
@@ -72,6 +70,8 @@ def smart_init_bounds_local(gdp: LocalGraph, m: dict | None = None) -> dict:
 
     ``m`` is :func:`max_incident_weight` of ``gdp``, if already computed.
     """
+    if m is None:
+        m = max_incident_weight(gdp)
     tau = core_numbers_exact(gdp)
     w = egonet_max_weight_local(gdp, m)
     return {u: tau[u] * w[u] / (tau[u] + 1.0) for u in tau}

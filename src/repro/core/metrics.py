@@ -36,8 +36,6 @@ def affinity(g: LocalGraph, x: dict) -> float:
     """f(x) = x' D x for a sparse embedding {index: value}."""
     f = 0.0
     for i, xi in x.items():
-        if xi == 0.0:
-            continue
         ai = g.adj[i]
         for j, xj in x.items():
             if j in ai:

@@ -85,9 +85,7 @@ def _dblp(spark, scale):
 
 def _dm(spark, scale):
     g1, g2 = dm_single_graphs(spark, scale)
-    planted = {"pairs": [list(t) for t in titles.PAIR_TOPICS],
-               "triples": [list(t) for t in titles.TRIPLE_TOPICS]}
-    return diff.difference(g1.edges, g2.edges), g1.n, planted, None
+    return diff.difference(g1.edges, g2.edges), g1.n, {}, None
 
 
 def _wiki(spark, scale):

@@ -62,9 +62,13 @@ DENSE_DEGREE = 32.0
 class LocalGraph:
     """Undirected weighted graph with signed weights, adjacency-dict form."""
 
-    n: int
     ids: list  # index -> external id
     adj: list  # index -> dict {neighbor index: weight}
+
+    @property
+    def n(self) -> int:
+        """Number of vertices."""
+        return len(self.adj)
 
     @property
     def m(self) -> int:
@@ -98,7 +102,7 @@ class LocalGraph:
     def positive_part(self) -> "LocalGraph":
         """The graph G_D+ keeping only edges with strictly positive weight."""
         adj = [{j: w for j, w in a.items() if w > 0} for a in self.adj]
-        return LocalGraph(self.n, self.ids, adj)
+        return LocalGraph(self.ids, adj)
 
     def subgraph_weight(self, S) -> float:
         """Sum of unordered edge weights inside S (internal indices)."""
@@ -144,18 +148,15 @@ def wants_dense_rows(g: LocalGraph) -> bool:
     return total > 0 and sum(map(mul, deg, deg)) >= DENSE_DEGREE * total
 
 
-def from_edge_pandas(edges: pd.DataFrame, ids: list | None = None
-                     ) -> LocalGraph:
+def from_edge_pandas(edges: pd.DataFrame) -> LocalGraph:
     """Build a LocalGraph from a pandas edge list with columns src, dst, weight.
 
-    The vertices are the sorted endpoint ids, unless ``ids`` fixes them
-    (with isolated vertices, say). The rows are added sorted by
+    The vertices are the sorted endpoint ids. The rows are added sorted by
     (src, dst), so on canonical rows (src < dst) each ``adj[i]`` lists its
     neighbours in ascending id order, whatever order the rows arrive in.
     """
     edges = edges.sort_values(["src", "dst"], ignore_index=True)
-    if ids is None:
-        ids = sorted(set(edges["src"]).union(edges["dst"]))
+    ids = sorted(set(edges["src"]).union(edges["dst"]))
     index = {v: i for i, v in enumerate(ids)}
     adj: list = [dict() for _ in ids]
     src = edges["src"].to_numpy()
@@ -167,4 +168,4 @@ def from_edge_pandas(edges: pd.DataFrame, ids: list | None = None
         i, j = index[s], index[d]
         adj[i][j] = adj[i].get(j, 0.0) + w
         adj[j][i] = adj[j].get(i, 0.0) + w
-    return LocalGraph(len(ids), list(ids), adj)
+    return LocalGraph(ids, adj)

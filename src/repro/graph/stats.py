@@ -5,12 +5,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def difference_stats(gd: DataFrame, n_vertices: int) -> dict:
-    """n, m+, m-, max/min/average edge weight of a canonical edge DataFrame.
-
-    ``n_vertices`` is the size of the vertex universe (isolated vertices
-    included), matching the paper's Table II accounting.
-    """
+def difference_stats(gd: DataFrame) -> dict:
+    """m+, m-, max/min/average edge weight of a canonical edge DataFrame."""
     row = gd.agg(
         F.sum(F.when(F.col("weight") > 0, 1).otherwise(0)).alias("m_pos"),
         F.sum(F.when(F.col("weight") < 0, 1).otherwise(0)).alias("m_neg"),
@@ -19,7 +15,6 @@ def difference_stats(gd: DataFrame, n_vertices: int) -> dict:
         F.avg("weight").alias("avg_w"),
     ).collect()[0]
     return {
-        "n": n_vertices,
         "m_pos": int(row["m_pos"] or 0),
         "m_neg": int(row["m_neg"] or 0),
         "max_w": float(row["max_w"]) if row["max_w"] is not None else 0.0,

@@ -36,8 +36,8 @@ def planted_ranges(n_big_cons: int, n_big_conf: int) -> dict:
     }
 
 
-def _bg_weight(rng, cap: float = 4.5):
-    return min(cap, 1.0 + rng.exponential(0.75))
+def _bg_weight(rng):
+    return min(4.5, 1.0 + rng.exponential(0.75))
 
 
 def interaction_graphs(spark: SparkSession, *, n: int, bg_edges: int,

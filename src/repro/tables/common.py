@@ -1,6 +1,8 @@
 """Shared helpers for the Table II–XIV harnesses."""
 from __future__ import annotations
 
+import time
+
 from ..core.metrics import (
     affinity,
     avg_degree,
@@ -9,6 +11,13 @@ from ..core.metrics import (
     total_degree,
 )
 from ..datasets import DCSDataset
+
+
+def timed(solve, *args):
+    """``(solve(*args), seconds)``, wall time by ``time.perf_counter``."""
+    t0 = time.perf_counter()
+    res = solve(*args)
+    return res, time.perf_counter() - t0
 
 
 def identify_group(ds: DCSDataset, ids: list) -> str:

@@ -16,15 +16,13 @@ maximizes the *total* edge-weight difference W_D(S)), and
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import SparkSession
 
 from ..baselines.egoscan import egoscan
 from ..core.dcsad import dcs_greedy
 from ..core.newsea import newsea
 from ..datasets import CONFIGS, get_dataset
-from .common import solution_row
+from .common import solution_row, timed
 
 COLUMNS_T3 = ["setting", "gd_type", "measure", "members"]
 COLUMNS_T4 = [
@@ -50,9 +48,7 @@ def run(spark: SparkSession, scale: str = "bench"
 
         ad = dcs_greedy(g)
         ga = newsea(g.positive_part())
-        t0 = time.perf_counter()
-        es = egoscan(g)
-        t_es = time.perf_counter() - t0
+        es, t_es = timed(egoscan, g)
         ad_row = solution_row(ds, ad.S)
         ga_row = solution_row(ds, list(ga.x), x=ga.x)
         es_row = solution_row(ds, es.S)

@@ -11,12 +11,11 @@ error counts are comparable with the paper.
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import SparkSession
 
 from ..core.newsea import newsea, sea_refine_full, seacd_refine_full
 from ..datasets import all_configs, get_dataset
+from .common import timed
 
 COLUMNS = [
     "data", "config", "t_newsea", "t_seacd_refine", "t_sea_refine",
@@ -24,27 +23,14 @@ COLUMNS = [
 ]
 
 
-def run(spark: SparkSession, scale: str = "bench",
-        families: list | None = None) -> list:
+def run(spark: SparkSession, scale: str = "bench") -> list:
     rows = []
     for fam, cfg in all_configs():
-        if families is not None and fam not in families:
-            continue
         ds = get_dataset(spark, fam, cfg, scale)
         gdp = ds.local.positive_part()
-
-        t0 = time.perf_counter()
-        r_new = newsea(gdp)
-        t_new = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        r_cd = seacd_refine_full(gdp)
-        t_cd = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        r_sea = sea_refine_full(gdp)
-        t_sea = time.perf_counter() - t0
-
+        r_new, t_new = timed(newsea, gdp)
+        r_cd, t_cd = timed(seacd_refine_full, gdp)
+        r_sea, t_sea = timed(sea_refine_full, gdp)
         rows.append(
             {
                 "data": fam,

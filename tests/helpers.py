@@ -13,9 +13,21 @@ from repro.graphgen.bigco import DBLPC_PLANTED
 
 
 def graph_from_triples(triples, n=None) -> LocalGraph:
-    """LocalGraph from [(u, v, w), ...]."""
-    pdf = pd.DataFrame(triples, columns=["src", "dst", "weight"])
-    return from_edge_pandas(pdf, ids=None if n is None else list(range(n)))
+    """LocalGraph from [(u, v, w), ...] over integer ids.
+
+    With ``n``, the vertices are ``0..n-1``, isolated ones included, and
+    each vertex's index is its id.
+    """
+    g = from_edge_pandas(pd.DataFrame(triples,
+                                      columns=["src", "dst", "weight"]))
+    if n is None:
+        return g
+    # The sorted endpoint ids map to their own values in order, so every
+    # adjacency dict keeps its ascending order.
+    adj: list = [{} for _ in range(n)]
+    for i, a in enumerate(g.adj):
+        adj[g.ids[i]] = {g.ids[j]: w for j, w in a.items()}
+    return LocalGraph(list(range(n)), adj)
 
 
 def random_signed_graph(n: int, p: float, seed: int, w_lo=-3.0, w_hi=5.0
@@ -191,7 +203,7 @@ def with_store(g: LocalGraph, dense: bool) -> LocalGraph:
     ``rows`` is a cached property, so setting it overrides the selector:
     unbuilt rows give the dense store, None the dict store.
     """
-    out = LocalGraph(g.n, g.ids, g.adj)
+    out = LocalGraph(g.ids, g.adj)
     out.rows = [None] * g.n if dense else None
     return out
 

@@ -1,10 +1,12 @@
 """DCSGreedy (Algorithm 2): hand cases including the paper's Fig. 1 graph."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.dcsad import dcs_greedy
 from repro.core.metrics import avg_degree
-from repro.graph.local import from_edge_pandas
+from repro.datasets import all_configs, get_dataset
+from repro.graph.local import LocalGraph, from_edge_pandas
 
 from tests.helpers import (
     brute_force_densest,
@@ -39,6 +41,57 @@ def test_no_positive_edges_returns_singleton():
     r = dcs_greedy(g)
     assert len(r.S) == 1
     assert r.rho == 0.0
+
+
+def test_heaviest_weight_negative_is_case_1():
+    """Weights from -1e-3 to -40, none positive: a single vertex, rho 0."""
+    g = graph_from_triples([(0, 1, -0.5), (1, 2, -40.0), (2, 3, -1e-3),
+                            (0, 3, -7.0)])
+    r = dcs_greedy(g)
+    assert (r.S, r.rho, r.ratio, r.candidates) == ([0], 0.0, 1.0, {})
+
+
+def test_max_edge_ties_go_to_the_first_edge_in_index_order():
+    """Three edges share the top weight; vertex 0 touches only negative
+    edges. The candidate is (1, 3): the lowest vertex on a heaviest edge,
+    then its lowest heaviest partner."""
+    g = graph_from_triples([(0, 1, -2.0), (0, 2, -1.0), (2, 5, 5.0),
+                            (1, 4, 5.0), (1, 3, 5.0), (3, 4, 1.0)])
+    assert dcs_greedy(g).candidates["max_edge"] == ([1, 3], 5.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_max_edge_is_the_first_heaviest_edge(seed):
+    """Integer weights in [-3, 3] tie often; the candidate is the first
+    heaviest (i, j), i < j, in index order."""
+    rng = np.random.default_rng(seed + 70)
+    triples = [(i, j, float(rng.integers(-3, 4)))
+               for i in range(14) for j in range(i + 1, 14)
+               if rng.random() < 0.3]
+    g = graph_from_triples(triples)
+    edges = [(w, i, j) for i in range(g.n) for j, w in g.adj[i].items()
+             if i < j]
+    top = max(w for w, _, _ in edges)
+    first = min((i, j) for w, i, j in edges if w == top)
+    assert dcs_greedy(g).candidates["max_edge"][0] == list(first)
+
+
+@pytest.mark.parametrize(
+    "family,config", all_configs(), ids=[f"{f}-{c}" for f, c in all_configs()]
+)
+def test_scale_equivariant_under_powers_of_two(spark, family, config):
+    """Scaling every weight by 2^k scales each product and sum exactly, so
+    S stays, rho scales by 2^k and the ratio stays, bit for bit."""
+    g = get_dataset(spark, family, config, "test").local
+    r = dcs_greedy(g)
+    for k in (-10, 10):
+        s = 2.0 ** k
+        gs = LocalGraph(g.ids, [{j: w * s for j, w in a.items()}
+                                for a in g.adj])
+        rs = dcs_greedy(gs)
+        assert rs.S == r.S
+        assert (rs.rho / s).hex() == r.rho.hex()
+        assert rs.ratio.hex() == r.ratio.hex()
 
 
 def test_max_edge_candidate_wins_when_isolated_heavy_pair():

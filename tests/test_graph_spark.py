@@ -17,9 +17,9 @@ def edges_pdf():
 
 
 def test_stats_values(spark, edges_pdf):
-    st = difference_stats(spark.createDataFrame(edges_pdf), n_vertices=10)
+    st = difference_stats(spark.createDataFrame(edges_pdf))
     assert st == {
-        "n": 10, "m_pos": 3, "m_neg": 2, "max_w": 3.0, "min_w": -1.0,
+        "m_pos": 3, "m_neg": 2, "max_w": 3.0, "min_w": -1.0,
         "avg_w": pytest.approx(1.0),
     }
 
@@ -28,5 +28,5 @@ def test_stats_empty(spark):
     empty = spark.createDataFrame(
         pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
     ).where("weight > 99")
-    st = difference_stats(empty, n_vertices=3)
+    st = difference_stats(empty)
     assert st["m_pos"] == 0 and st["m_neg"] == 0

@@ -43,13 +43,14 @@ def test_core_numbers_clique_plus_tail():
 def test_egonet_max_weight_matches_brute_force(seed):
     g = random_signed_graph(25, 0.15, seed + 400, w_lo=0.5, w_hi=9.0)
     assert g.m > 0
-    assert egonet_max_weight_local(g) == brute_force_egonet_max_weight(g)
+    assert (egonet_max_weight_local(g, max_incident_weight(g))
+            == brute_force_egonet_max_weight(g))
 
 
 def test_egonet_bound_is_two_hop_max():
     # Star 0-1, 1-2(heavy): w_u of 0 must see the heavy edge at hop 2.
     g = graph_from_triples([(0, 1, 1.0), (1, 2, 7.0)])
-    w = egonet_max_weight_local(g)
+    w = egonet_max_weight_local(g, max_incident_weight(g))
     assert {g.ids[i]: v for i, v in w.items()} == {0: 7.0, 1: 7.0, 2: 7.0}
 
 

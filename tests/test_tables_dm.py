@@ -116,7 +116,7 @@ def test_top5_orders_tied_members_by_keyword(monkeypatch):
     ]
     monkeypatch.setattr(table05_06, "seacd_refine_full",
                         lambda g: SimpleNamespace(cliques=cliques))
-    g = LocalGraph(5, ["a", "b", "c", "d", "e"], [{} for _ in range(5)])
+    g = LocalGraph(["a", "b", "c", "d", "e"], [{} for _ in range(5)])
     topics = [list(r["topic"].items()) for r in table05_06._top5(g)]
     assert topics == [[("b", 0.4), ("c", 0.4), ("a", 0.2)],
                       [("d", 0.5), ("e", 0.5)]]

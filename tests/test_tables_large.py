@@ -25,7 +25,10 @@ def t7_small(spark):
     # SEA+Refine on every config is the expensive part; restrict the
     # harness to two families (test_dcsga_claims_on_every_config checks
     # NewSEA and SEACD+Refine on all 16).
-    return table07.run(spark, scale="test", families=["dblp", "dm"])
+    small = [(f, c) for f, c in all_configs() if f in ("dblp", "dm")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table07, "all_configs", lambda: small)
+        return table07.run(spark, scale="test")
 
 
 @pytest.fixture(scope="module")

@@ -48,3 +48,47 @@ def test_bench_tables_headers_match_runner():
     assert len(_TITLE_ROWS) == len(_BLOCKS)
     for i, (title, columns) in zip(_TITLE_ROWS, _BLOCKS):
         assert _BENCH_LINES[i + 1].split() == columns, title
+
+
+_DIFF_PATH = _PATH.parent / "diff_tables.py"
+_dspec = importlib.util.spec_from_file_location("diff_tables", _DIFF_PATH)
+diff_tables = importlib.util.module_from_spec(_dspec)
+_dspec.loader.exec_module(diff_tables)
+
+
+def _output(rows: list) -> str:
+    cols = ["data", "members", "t_newsea"]
+    return f"\n== Table T ==\n{tables.fmt_table(rows, cols)}\n"
+
+
+def test_diff_tables_reads_cells_with_spaces():
+    rows = [{"data": "a", "members": ["x y", "z"], "t_newsea": 0.5}]
+    (names, parsed), = diff_tables.parse(_output(rows)).values()
+    assert names == ["data", "members", "t_newsea"]
+    assert parsed == [{"data": "a", "members": "['x y', 'z']",
+                       "t_newsea": "0.5"}]
+
+
+def test_diff_tables_skips_times_and_reports_cells(tmp_path, capsys):
+    old = [{"data": "a", "members": [1, 2], "t_newsea": 0.5},
+           {"data": "b", "members": [3], "t_newsea": 0.25}]
+    slower = [{**r, "t_newsea": 9.0} for r in old]
+    moved = [old[0], {**old[1], "members": [3, 4]}]
+    paths = []
+    for k, rows in enumerate((old, slower, moved)):
+        paths.append(tmp_path / f"{k}.txt")
+        paths[-1].write_text(_output(rows))
+    assert diff_tables.main([str(paths[0]), str(paths[1])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "4 non-time cells compared, 0 differ"]
+    assert diff_tables.main([str(paths[0]), str(paths[2])]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "Table T: row 1 members: '[3]' -> '[3, 4]'",
+        "4 non-time cells compared, 1 differ"]
+
+
+def test_diff_tables_bench_output_against_itself():
+    bench = diff_tables.parse(_BENCH.read_text())
+    assert set(bench) == {title for title, _ in _BLOCKS}
+    compared, out = diff_tables.diff(bench, bench)
+    assert out == [] and compared > 0
