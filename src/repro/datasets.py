@@ -160,7 +160,7 @@ def spark_session() -> SparkSession:
 
 
 def get_dataset(spark: SparkSession, family: str, config: str,
-                scale: str = "test") -> DCSDataset:
+                scale: str) -> DCSDataset:
     key = (family, config, scale)
     if key not in _CACHE:
         build, transforms = _FAMILIES[family]
@@ -179,7 +179,7 @@ def all_configs():
     return [(fam, cfg) for fam, cfgs in CONFIGS.items() for cfg in cfgs]
 
 
-def dm_single_graphs(spark: SparkSession, scale: str = "test"
+def dm_single_graphs(spark: SparkSession, scale: str
                      ) -> tuple[DCSDataset, DCSDataset]:
     """The two DM keyword graphs (Table VI); DM's G_D is their difference.
 

@@ -3,13 +3,7 @@ from __future__ import annotations
 
 import time
 
-from ..core.metrics import (
-    affinity,
-    avg_degree,
-    edge_density,
-    is_positive_clique,
-    total_degree,
-)
+from ..core.metrics import affinity, is_positive_clique, total_degree
 from ..datasets import DCSDataset
 
 
@@ -27,7 +21,7 @@ def identify_group(ds: DCSDataset, ids: list) -> str:
     for name, members in ds.planted.items():
         try:
             m = set(members)
-        except TypeError:  # nested planted metadata (e.g. the DM topics)
+        except TypeError:  # only perfbench's nested DM topics reach here
             continue
         j = len(s & m) / len(s | m) if s | m else 0.0
         if j > score:
@@ -39,14 +33,15 @@ def solution_row(ds: DCSDataset, indices: list, x: dict | None = None) -> dict:
     """Common density diagnostics of a solution on a dataset's G_D."""
     g = ds.local
     S = sorted(indices)
-    ids = g.to_ids(S)
+    W = total_degree(g, S)
     row = {
-        "group": identify_group(ds, ids),
+        "group": identify_group(ds, g.to_ids(S)),
         "size": len(S),
         "positive_clique": is_positive_clique(g, S),
-        "avg_degree_diff": avg_degree(g, S),
-        "edge_density_diff": edge_density(g, S),
-        "total_weight_diff": total_degree(g, S),
+        # W/|S| and W/|S|^2: metrics.avg_degree and metrics.edge_density.
+        "avg_degree_diff": W / len(S),
+        "edge_density_diff": W / len(S) ** 2,
+        "total_weight_diff": W,
     }
     if x is not None:
         row["affinity_diff"] = affinity(g, x)

@@ -36,8 +36,7 @@ COLUMNS_T8 = [
 COLUMNS_T9 = ["setting", "gd_type", "w_dcsgreedy", "w_newsea", "w_egoscan"]
 
 
-def run(spark: SparkSession, scale: str = "bench"
-        ) -> tuple[list, list, list, list]:
+def run(spark: SparkSession, scale: str) -> tuple[list, list, list, list]:
     """Returns the rows of Tables III, IV, VIII and IX."""
     t3, t4, t8, t9 = [], [], [], []
     for cfg in CONFIGS["dblp"]:

@@ -32,19 +32,17 @@ def _top5(gdp_local) -> list:
     return out
 
 
-def run_table5(spark: SparkSession, scale: str = "bench") -> list:
-    rows = []
-    for cfg in ("emerging", "disappearing"):
-        ds = get_dataset(spark, "dm", cfg, scale)
-        for r in _top5(ds.local.positive_part()):
-            rows.append({"gd_type": cfg, **r})
-    return rows
+def _rows(labelled) -> list:
+    """The top-5 rows of each (gd_type label, dataset) pair."""
+    return [{"gd_type": label, **r} for label, ds in labelled
+            for r in _top5(ds.local.positive_part())]
 
 
-def run_table6(spark: SparkSession, scale: str = "bench") -> list:
-    rows = []
-    for name, ds in zip(("G1 (early)", "G2 (recent)"),
-                        dm_single_graphs(spark, scale)):
-        for r in _top5(ds.local.positive_part()):
-            rows.append({"gd_type": name, **r})
-    return rows
+def run_table5(spark: SparkSession, scale: str) -> list:
+    return _rows((cfg, get_dataset(spark, "dm", cfg, scale))
+                 for cfg in ("emerging", "disappearing"))
+
+
+def run_table6(spark: SparkSession, scale: str) -> list:
+    return _rows(zip(("G1 (early)", "G2 (recent)"),
+                     dm_single_graphs(spark, scale)))

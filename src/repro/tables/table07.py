@@ -5,9 +5,11 @@ For every difference graph: NewSEA (smart initialization), SEACD+Refine
 (replicator shrink with the loose ``|Δf| <= 1e-6`` convergence test).
 ``errors_sea`` counts expansions that decreased the objective — the
 phenomenon of Section VI-A; the coordinate-descent algorithms must show
-zero errors. Absolute times are Python-driver times on synthetic graphs,
-so only the *ordering* (NewSEA ≪ SEACD+Refine < SEA+Refine) and the
-error counts are comparable with the paper.
+zero errors. ``unconverged_sea`` counts the SEA starts whose
+Shrink-and-Expansion loop stopped with Z non-empty (stagnation or the
+round cap), short of a global KKT point. Absolute times are Python-driver
+times on synthetic graphs, so only the *ordering* (NewSEA ≪ SEACD+Refine
+< SEA+Refine) and the error counts are comparable with the paper.
 """
 from __future__ import annotations
 
@@ -19,11 +21,12 @@ from .common import timed
 
 COLUMNS = [
     "data", "config", "t_newsea", "t_seacd_refine", "t_sea_refine",
-    "errors_sea", "errors_seacd", "f_newsea", "f_seacd", "f_sea",
+    "errors_sea", "errors_seacd", "unconverged_sea", "f_newsea", "f_seacd",
+    "f_sea",
 ]
 
 
-def run(spark: SparkSession, scale: str = "bench") -> list:
+def run(spark: SparkSession, scale: str) -> list:
     rows = []
     for fam, cfg in all_configs():
         ds = get_dataset(spark, fam, cfg, scale)
@@ -40,6 +43,7 @@ def run(spark: SparkSession, scale: str = "bench") -> list:
                 "t_sea_refine": t_sea,
                 "errors_sea": r_sea.expansion_errors,
                 "errors_seacd": r_cd.expansion_errors,
+                "unconverged_sea": r_sea.unconverged,
                 "f_newsea": r_new.f,
                 "f_seacd": r_cd.f,
                 "f_sea": r_sea.f,

@@ -23,8 +23,7 @@ COLUMNS_AD = [
 COLUMNS_GA = ["data", "gd_type", "size", "affinity_diff", "edge_density_diff"]
 
 
-def run_avg_degree(spark: SparkSession, families: list,
-                   scale: str = "bench") -> list:
+def run_avg_degree(spark: SparkSession, families: list, scale: str) -> list:
     """Table X (families=["wiki"]) / Table XII (["movie", "book"])."""
     rows = []
     for fam in families:
@@ -43,8 +42,7 @@ def run_avg_degree(spark: SparkSession, families: list,
     return rows
 
 
-def run_affinity(spark: SparkSession, families: list,
-                 scale: str = "bench") -> list:
+def run_affinity(spark: SparkSession, families: list, scale: str) -> list:
     """Table XI (["wiki"]) / XIII (["movie", "book"]) / XIV (["dblpc",
     "actor"])."""
     rows = []

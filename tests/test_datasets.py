@@ -94,23 +94,40 @@ def test_local_independent_of_row_order(spark, graph):
 
 
 _CANONICAL = all_configs() + [("dm-single", "G1"), ("dm-single", "G2")]
+_ALL_GRAPHS = pytest.mark.parametrize(
+    "family,config", _CANONICAL, ids=[f"{f}-{c}" for f, c in _CANONICAL])
 
 
-@pytest.mark.parametrize("family,config", _CANONICAL,
-                         ids=[f"{f}-{c}" for f, c in _CANONICAL])
+def _graph(spark, family, config):
+    if family == "dm-single":
+        return datasets.dm_single_graphs(spark, "test")[config == "G2"]
+    return get_dataset(spark, family, config, "test")
+
+
+@_ALL_GRAPHS
 def test_edges_canonical(spark, family, config):
     """Every dataset's edges: src < dst, one row per pair, no zero weight;
     its driver graph's vertices are the sorted endpoints.
 
     Actor's G_D and the DM keyword graphs are used as generated, so this
     is the only check of the invariant for them."""
-    if family == "dm-single":
-        ds = datasets.dm_single_graphs(spark, "test")[config == "G2"]
-    else:
-        ds = get_dataset(spark, family, config, "test")
+    ds = _graph(spark, family, config)
     pdf = ds.edges.toPandas()
     assert len(pdf) > 0
     assert (pdf["src"] < pdf["dst"]).all()
     assert not pdf.duplicated(["src", "dst"]).any()
     assert (pdf["weight"] != 0.0).all()
     assert ds.local.ids == sorted(set(pdf["src"]).union(pdf["dst"]))
+
+
+@_ALL_GRAPHS
+def test_local_edges_equal_spark_rows(spark, family, config):
+    """The driver graph's unordered edges (ids[i], ids[j], w), i < j, are
+    the Spark frame's rows, weights bit for bit (Table II reads them)."""
+    ds = _graph(spark, family, config)
+    g = ds.local
+    local = sorted((g.ids[i], g.ids[j], float(w).hex())
+                   for i, a in enumerate(g.adj) for j, w in a.items() if i < j)
+    rows = sorted((r.src, r.dst, float(r.weight).hex())
+                  for r in ds.edges.collect())
+    assert local == rows

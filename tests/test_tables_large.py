@@ -9,6 +9,7 @@ from repro.core.metrics import is_positive_clique
 from repro.core.seacd import seacd
 from repro.datasets import all_configs, get_dataset
 from repro.tables import table02, table07, table10_13
+from tests.helpers import graph_from_triples
 
 _ALL = pytest.mark.parametrize(
     "family,config", all_configs(), ids=[f"{f}-{c}" for f, c in all_configs()]
@@ -38,6 +39,14 @@ def t14(spark):
 
 def test_table2_has_16_rows(t2):
     assert len(t2) == 16
+
+
+def test_table2_edge_stats():
+    g = graph_from_triples([(0, 1, 2.0), (0, 2, -1.0), (1, 2, 3.0),
+                            (3, 4, 1.5), (5, 6, -0.5)])
+    assert table02.edge_stats(g) == {
+        "m_pos": 3, "m_neg": 2, "max_w": 3.0, "min_w": -1.0, "avg_w": 1.0,
+    }
 
 
 def test_table2_extremes(t2):
@@ -80,6 +89,12 @@ def test_table7_quality_preserved(t7_small):
 def test_table7_seacd_never_errs(t7_small):
     for r in t7_small:
         assert r["errors_seacd"] == 0
+
+
+def test_table7_sea_converges_on_dblp_and_dm(t7_small):
+    """SEA stagnates only on wiki, Douban and actor starts at test scale."""
+    for r in t7_small:
+        assert r["unconverged_sea"] == 0
 
 
 def test_table14_weighted_tiny_discrete_clique(t14):
