@@ -3,8 +3,8 @@
 * ``total_degree`` W(S): sum of vertex degrees in the induced subgraph
   (= 2 × sum of unordered edge weights), the paper's Eq. 1 numerator.
 * ``avg_degree`` rho(S) = W(S)/|S|.
-* ``affinity`` f(x) = x' D x with symmetric D.
-* ``edge_density`` = W(S)/|S|^2 (equals f of the uniform embedding on S).
+* ``affinity`` f(x) = x' D x with symmetric D; on the uniform embedding
+  of S it equals the edge density W(S)/|S|^2.
 """
 from __future__ import annotations
 
@@ -22,14 +22,6 @@ def avg_degree(g: LocalGraph, S) -> float:
     if not S:
         return 0.0
     return total_degree(g, S) / len(S)
-
-
-def edge_density(g: LocalGraph, S) -> float:
-    """W(S)/|S|^2 — the discrete version of graph affinity."""
-    S = list(S)
-    if not S:
-        return 0.0
-    return total_degree(g, S) / (len(S) ** 2)
 
 
 def affinity(g: LocalGraph, x: dict) -> float:

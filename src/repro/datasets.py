@@ -133,8 +133,7 @@ _FAMILIES = {
     "book": (partial(_douban, "book"),
              {"interest-social": _same, "social-interest": diff.flip}),
     "dblpc": (_dblpc, {"weighted": _same, "discrete": diff.discretize}),
-    "actor": (_actor, {"weighted": _same,
-                       "discrete": lambda gd: diff.cap_weights(gd, 10.0)}),
+    "actor": (_actor, {"weighted": _same, "discrete": diff.cap_weights}),
 }
 
 CONFIGS = {fam: list(cfgs) for fam, (_, cfgs) in _FAMILIES.items()}

@@ -5,11 +5,11 @@ All edge DataFrames in this codebase are *canonical*: columns
 ``canonicalize`` (summing duplicate orientations) runs only in
 ``difference``; Actor's G_D and the DM keyword graphs are canonical as
 generated (``tests/test_datasets.py`` checks every dataset).
-``difference`` builds ``G_D`` with ``D = A2 - alpha * A1`` as one
-grouped sum of G2's rows and G1's rows scaled by ``-alpha``: one
-shuffle, no join. ``flip`` negates weights (Emerging <-> Disappearing),
-and ``discretize`` and ``cap_weights`` apply the Discrete-setting weight
-mappings. ``G_D+`` is not built here: the driver's
+``difference`` builds ``G_D`` with ``D = A2 - A1`` as one grouped sum
+of G2's rows and G1's rows negated: one shuffle, no join. ``flip``
+negates weights (Emerging <-> Disappearing), and ``discretize`` and
+``cap_weights`` apply the Discrete-setting weight mappings. ``G_D+`` is
+not built here: the driver's
 :meth:`repro.graph.local.LocalGraph.positive_part` filters the collected
 graph.
 """
@@ -29,13 +29,10 @@ def canonicalize(edges: DataFrame) -> DataFrame:
     return e.groupBy("src", "dst").agg(F.sum("weight").alias("weight"))
 
 
-def difference(g1: DataFrame, g2: DataFrame, alpha: float = 1.0) -> DataFrame:
-    """G_D = G2 - alpha * G1 as one grouped sum; drops exact-zero edges.
-
-    ``alpha`` implements the generalized difference graph of Section III-D.
-    """
+def difference(g1: DataFrame, g2: DataFrame) -> DataFrame:
+    """G_D = G2 - G1 as one grouped sum; drops exact-zero edges."""
     neg = g1.select("src", "dst",
-                    (F.lit(-float(alpha)) * F.col("weight")).alias("weight"))
+                    (F.lit(-1.0) * F.col("weight")).alias("weight"))
     d = canonicalize(g2.select("src", "dst", "weight").unionByName(neg))
     return d.where(F.col("weight") != 0.0)
 
@@ -67,6 +64,6 @@ def discretize(gd: DataFrame) -> DataFrame:
     )
 
 
-def cap_weights(gd: DataFrame, cap: float) -> DataFrame:
-    """Actor-style Discrete setting: clamp weights above ``cap`` to ``cap``."""
-    return gd.withColumn("weight", F.least(F.col("weight"), F.lit(float(cap))))
+def cap_weights(gd: DataFrame) -> DataFrame:
+    """Actor's Discrete setting: clamp weights above 10 to 10."""
+    return gd.withColumn("weight", F.least(F.col("weight"), F.lit(10.0)))

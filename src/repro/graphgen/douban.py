@@ -24,29 +24,27 @@ from pyspark.sql.window import Window
 from .background import chung_lu_pairs, clique_edges, random_subset_edges
 
 
-def _params(kind: str) -> dict:
-    if kind == "movie":
-        return dict(clique_i=32, clique_s=18, cluster=250, community=500,
-                    comm_p=0.05, pool_cluster=140, per_cluster=40,
-                    pool_planted=40, n_items=3000, per_user=8, thr=0.2)
-    # comm_p is set so the community's density survives the sparse
-    # negative (interest-only) edges that random book ratings induce at
-    # threshold 0.1, keeping it above the 22-clique's rho = 21.
-    return dict(clique_i=14, clique_s=22, cluster=150, community=550,
-                comm_p=0.06, pool_cluster=220, per_cluster=25,
-                pool_planted=25, n_items=2000, per_user=5, thr=0.1)
-
-
 def scaled_params(kind: str, scale: float) -> dict:
-    """Shrink the big structures (never the planted cliques) by ``scale``."""
-    p = _params(kind)
+    """``kind``'s generator parameters, with the big structures (never the
+    planted cliques) shrunk by ``scale``."""
+    if kind == "movie":
+        p = dict(clique_i=32, clique_s=18, cluster=250, community=500,
+                 comm_p=0.05, pool_cluster=140, per_cluster=40,
+                 pool_planted=40, n_items=3000, per_user=8, thr=0.2)
+    else:
+        # comm_p is set so the community's density survives the sparse
+        # negative (interest-only) edges that random book ratings induce
+        # at threshold 0.1, keeping it above the 22-clique's rho = 21.
+        p = dict(clique_i=14, clique_s=22, cluster=150, community=550,
+                 comm_p=0.06, pool_cluster=220, per_cluster=25,
+                 pool_planted=25, n_items=2000, per_user=5, thr=0.1)
     for key in ("cluster", "community", "n_items"):
         p[key] = max(20, int(p[key] * scale))
     return p
 
 
 def build_raw(kind: str, *, n: int, scale: float = 1.0, seed: int = 17):
-    """Generate (social_edges_pdf, ratings_pdf, planted, hubs).
+    """Generate (social_edges_pdf, ratings_pdf, planted, params).
 
     Ratings items are namespaced integers; planted ids occupy the low
     range, the two hubs sit just below ``n``.

@@ -26,17 +26,15 @@ PAIR_TOPICS = {
     ("time", "series"): (1.20, 1.00),
     ("social", "networks"): (0.05, 1.30),
     ("large", "scale"): (0.05, 0.97),
-    ("feature", "selection"): (0.90, None),  # era-2 count set below (overlap)
+    # era 2: the star topic below adds 0.82 to this edge's weight 1.08,
+    # totalling 1.90 (f2 = 0.95).
+    ("feature", "selection"): (0.90, 0.54),
     ("decision", "trees"): (0.85, 0.50),
     ("nearest", "neighbor"): (0.78, 0.45),
     ("knowledge", "discovery"): (0.64, 0.02),
     ("intrusion", "detection"): (0.45, 0.04),
     ("matrix", "factorization"): (0.02, 0.72),
 }
-# era-2 weight of the (feature, selection) pair-topic titles alone; the
-# unsupervised-topic titles below contribute another 0.82, totalling 1.90
-# (f2 = 0.95).
-_FEATURE_SELECTION_W2 = 1.08
 
 # Triple topics: (heavy_a, heavy_b, light_third): (f1, f2); the heavy pair
 # weight is f / 0.5143 and the light edges are 0.6 of it.
@@ -84,11 +82,7 @@ def titles_for_era(era_n: int, era_idx: int, n_filler: int,
 
     for (a, b), (f1, f2) in PAIR_TOPICS.items():
         f = f1 if era_idx == 1 else f2
-        if f is None:
-            w = _FEATURE_SELECTION_W2
-        else:
-            w = 2.0 * f
-        add((a, b), _round(w * era_n / 100.0))
+        add((a, b), _round(2.0 * f * era_n / 100.0))
     for (a, b, c), (f1, f2) in TRIPLE_TOPICS.items():
         f = f1 if era_idx == 1 else f2
         wh = f / _F_PER_WHEAVY

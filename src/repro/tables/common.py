@@ -38,7 +38,7 @@ def solution_row(ds: DCSDataset, indices: list, x: dict | None = None) -> dict:
         "group": identify_group(ds, g.to_ids(S)),
         "size": len(S),
         "positive_clique": is_positive_clique(g, S),
-        # W/|S| and W/|S|^2: metrics.avg_degree and metrics.edge_density.
+        # W/|S| is metrics.avg_degree; W/|S|^2 is the edge density.
         "avg_degree_diff": W / len(S),
         "edge_density_diff": W / len(S) ** 2,
         "total_weight_diff": W,

@@ -60,26 +60,25 @@ def test_difference_values(spark, g1_pdf, g2_pdf):
 
 
 # The reference: canonicalize each graph, full-outer-join them, and keep
-# the non-zero values of w2 - alpha * w1.
+# the non-zero values of w2 - w1.
 DIFFERENCE_SQL = """
 WITH c1 AS (SELECT least(src,dst) s, greatest(src,dst) d,
                    sum(weight) w FROM g1 WHERE src<>dst GROUP BY 1,2),
      c2 AS (SELECT least(src,dst) s, greatest(src,dst) d,
                    sum(weight) w FROM g2 WHERE src<>dst GROUP BY 1,2)
 SELECT coalesce(c2.s, c1.s) AS src, coalesce(c2.d, c1.d) AS dst,
-       coalesce(c2.w, 0) - {alpha} * coalesce(c1.w, 0) AS weight
+       coalesce(c2.w, 0) - coalesce(c1.w, 0) AS weight
 FROM c2 FULL OUTER JOIN c1 ON c2.s = c1.s AND c2.d = c1.d
-WHERE coalesce(c2.w, 0) - {alpha} * coalesce(c1.w, 0) <> 0
+WHERE coalesce(c2.w, 0) - coalesce(c1.w, 0) <> 0
 """
 
 
 def test_difference_oracle(spark, g1_pdf, g2_pdf):
     gd = difference(spark.createDataFrame(g1_pdf), spark.createDataFrame(g2_pdf))
-    assert_equivalent(gd, DIFFERENCE_SQL.format(alpha=1.0), g1=g1_pdf, g2=g2_pdf)
+    assert_equivalent(gd, DIFFERENCE_SQL, g1=g1_pdf, g2=g2_pdf)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2.0])
-def test_difference_oracle_orientations_and_alpha(spark, alpha):
+def test_difference_oracle_orientations(spark):
     """Both orientations of an edge in each graph, fractional weights, and
     an edge (9, 10) whose difference is exactly 0 and must be dropped."""
     g1 = pd.DataFrame({
@@ -90,22 +89,12 @@ def test_difference_oracle_orientations_and_alpha(spark, alpha):
     g2 = pd.DataFrame({
         "src": [2, 1, 4, 3, 7, 10, 6],
         "dst": [1, 2, 3, 4, 8, 9, 5],
-        "weight": [0.3, 1.25, 0.2, 0.45, 1.5, 1.25 * alpha, 0.7],
+        "weight": [0.3, 1.25, 0.2, 0.45, 1.5, 1.25, 0.7],
     })
-    gd = difference(spark.createDataFrame(g1), spark.createDataFrame(g2),
-                    alpha=alpha)
-    assert_equivalent(gd, DIFFERENCE_SQL.format(alpha=alpha), g1=g1, g2=g2)
+    gd = difference(spark.createDataFrame(g1), spark.createDataFrame(g2))
+    assert_equivalent(gd, DIFFERENCE_SQL, g1=g1, g2=g2)
     rows = {(r["src"], r["dst"]) for r in gd.collect()}
     assert rows == {(1, 2), (3, 4), (5, 6), (7, 8)}
-
-
-def test_difference_alpha(spark, g1_pdf, g2_pdf):
-    gd = difference(
-        spark.createDataFrame(g1_pdf), spark.createDataFrame(g2_pdf), alpha=2.0
-    )
-    rows = {(r["src"], r["dst"]): r["weight"] for r in gd.collect()}
-    assert rows[(2, 3)] == 5.0 - 2 * 2.0
-    assert rows[(1, 2)] == 1.0 - 2 * 1.0
 
 
 def test_flip(spark, g1_pdf, g2_pdf):
@@ -154,6 +143,6 @@ def test_cap_weights(spark):
     pdf = pd.DataFrame({"src": [0, 1], "dst": [1, 2], "weight": [15.0, 3.0]})
     rows = {
         (r["src"], r["dst"]): r["weight"]
-        for r in cap_weights(spark.createDataFrame(pdf), 10.0).collect()
+        for r in cap_weights(spark.createDataFrame(pdf)).collect()
     }
     assert rows == {(0, 1): 10.0, (1, 2): 3.0}

@@ -66,7 +66,7 @@ def test_actor_heavy_triangle(spark):
 
 
 def test_actor_cap(spark):
-    gd = cap_weights(bigco.actor_graph(spark, 300, 1500), 10.0)
+    gd = cap_weights(bigco.actor_graph(spark, 300, 1500))
     assert gd.agg(F.max("weight")).collect()[0][0] == 10.0
     ids = bigco.ACTOR_PLANTED["disc-clique"]
     rows = gd.where(F.col("src").isin(ids) & F.col("dst").isin(ids)).collect()

@@ -1,11 +1,10 @@
-"""Exact Charikar greedy peeling: hand cases, invariants, flow cross-check,
-and bit-identity with the lazy-heap reference peel."""
+"""Exact Charikar greedy peeling: hand cases, invariants, brute-force
+cross-checks, and bit-identity with the lazy-heap reference peel."""
 import random
 
 import pytest
 
 from repro.core.greedy import greedy_peel
-from repro.core.maxflow import exact_densest
 from repro.datasets import all_configs, get_dataset
 
 from tests.helpers import (
@@ -110,8 +109,7 @@ def test_greedy_2_approx_on_positive_graphs(seed):
     if g.m == 0:
         pytest.skip("empty sample")
     _, rho = greedy_peel(g)
-    _, opt_single = exact_densest(g)
-    opt = 2.0 * opt_single  # double-counted convention
+    _, opt = brute_force_densest(g)
     assert rho >= opt / 2.0 - 1e-9
     assert rho <= opt + 1e-9
 

@@ -4,7 +4,6 @@ import pytest
 from repro.core.metrics import (
     affinity,
     avg_degree,
-    edge_density,
     is_positive_clique,
     non_positive_pair,
     total_degree,
@@ -30,7 +29,7 @@ def test_pair_conventions(pair):
     S = [0, 1]
     assert total_degree(pair, S) == 20.0
     assert avg_degree(pair, S) == 10.0  # rho of an edge = its weight
-    assert edge_density(pair, S) == 5.0
+    assert total_degree(pair, S) / len(S) ** 2 == 5.0  # edge density
     assert affinity(pair, {0: 0.5, 1: 0.5}) == pytest.approx(5.0)  # w/2
 
 
@@ -41,15 +40,14 @@ def test_clique_conventions(clique):
     assert affinity(clique, uniform_embedding(S)) == pytest.approx(
         3.0 * 3 / 4
     )  # w*(k-1)/k
-    assert edge_density(clique, S) == pytest.approx(
+    assert total_degree(clique, S) / len(S) ** 2 == pytest.approx(
         affinity(clique, uniform_embedding(S))
-    )
+    )  # edge density = f of the uniform embedding
 
 
 def test_avg_degree_empty():
     g = graph_from_triples([(0, 1, 1.0)])
     assert avg_degree(g, []) == 0.0
-    assert edge_density(g, []) == 0.0
 
 
 def test_affinity_ignores_outside_edges(clique):

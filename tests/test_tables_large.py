@@ -114,11 +114,13 @@ def test_table14_weighted_tiny_discrete_clique(t14):
 
 @_ALL
 def test_dcsga_claims_on_every_config(spark, dcsga_runs, family, config):
-    """Zero SEACD expansion errors, f(NewSEA) >= f(full-init SEACD+Refine)
-    and a positive-clique NewSEA support (Theorem 5), on the dict-store
-    runs that test_gradient_store shows the dense store equals."""
+    """Zero SEACD expansion errors, every NewSEA start converged,
+    f(NewSEA) >= f(full-init SEACD+Refine) and a positive-clique NewSEA
+    support (Theorem 5), on the dict-store runs that test_gradient_store
+    shows the dense store equals."""
     full, new = dcsga_runs(family, config)[:2]
     assert new.expansion_errors == 0 and full.expansion_errors == 0
+    assert new.unconverged == 0
     assert new.f >= full.f - 1e-6
     gd = get_dataset(spark, family, config, "test").local
     assert is_positive_clique(gd, list(new.x))
