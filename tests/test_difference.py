@@ -78,18 +78,23 @@ def test_difference_oracle(spark, g1_pdf, g2_pdf):
     assert_equivalent(gd, DIFFERENCE_SQL, g1=g1_pdf, g2=g2_pdf)
 
 
-def test_difference_oracle_orientations(spark):
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_difference_oracle_orientations_and_alpha(spark, alpha):
     """Both orientations of an edge in each graph, fractional weights, and
-    an edge (9, 10) whose difference is exactly 0 and must be dropped."""
+    an edge (9, 10) whose difference is exactly 0 and must be dropped.
+
+    The weighted difference G2 - alpha * G1 is built by scaling G1's
+    weights before the call, so the oracle sees the scaled G1 too."""
     g1 = pd.DataFrame({
         "src": [1, 2, 3, 5, 9, 10, 11],
         "dst": [2, 1, 4, 6, 10, 9, 11],
         "weight": [0.75, 0.5, 0.1, 2.5, 0.75, 0.5, 4.0],
     })
+    g1["weight"] *= alpha
     g2 = pd.DataFrame({
         "src": [2, 1, 4, 3, 7, 10, 6],
         "dst": [1, 2, 3, 4, 8, 9, 5],
-        "weight": [0.3, 1.25, 0.2, 0.45, 1.5, 1.25, 0.7],
+        "weight": [0.3, 1.25, 0.2, 0.45, 1.5, 1.25 * alpha, 0.7],
     })
     gd = difference(spark.createDataFrame(g1), spark.createDataFrame(g2))
     assert_equivalent(gd, DIFFERENCE_SQL, g1=g1, g2=g2)
