@@ -5,6 +5,8 @@ an edge (u, v) iff u and v are within 2 hops in G1 and the Jaccard
 similarity of their rated-item sets exceeds a threshold (0.2 for Movie,
 0.1 for Book) — the Jaccard-over-2-hop pipeline (:func:`interest_graph`,
 one grouping of co-rated pairs in Spark SQL) is oracle-checked in tests.
+The ratings are generated on the driver, which also puts each user's
+rating count on their rating rows; Spark joins and groups across users.
 
 Planted structure (DESIGN.md §2): an interest clique of users with
 identical rating lists (movie 32 / book 14, pairwise 2-hop via a hub),
@@ -19,7 +21,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from .background import chung_lu_pairs, clique_edges, random_subset_edges
 
@@ -127,11 +128,12 @@ def interest_graph(social: DataFrame, ratings: DataFrame,
                    thr: float) -> DataFrame:
     """Unit-weight Jaccard interest graph restricted to 2-hop pairs.
 
-    Rows carry their user's rating count: one grouping gives |A∩B|, |A|, |B|.
+    ``ratings`` has columns (user, item, sz), where every row carries
+    ``sz``, its user's rating count (rows, not distinct items): one
+    grouping of the co-rated pairs then gives |A∩B|, |A| and |B|.
     """
-    r = ratings.withColumn("sz", F.count("*").over(Window.partitionBy("user")))
-    a = r.alias("a")
-    b = r.alias("b")
+    a = ratings.alias("a")
+    b = ratings.alias("b")
     jac = (
         a.join(b, F.col("a.item") == F.col("b.item"))
         .where(F.col("a.user") < F.col("b.user"))
@@ -162,6 +164,7 @@ def douban_graphs(spark: SparkSession, kind: str, *, n: int,
     social = spark.createDataFrame(
         social_pdf.assign(weight=1.0)
     )
-    ratings = spark.createDataFrame(ratings_pdf)
+    ratings = spark.createDataFrame(ratings_pdf.assign(
+        sz=ratings_pdf.groupby("user")["user"].transform("size")))
     interest = interest_graph(social, ratings, p["thr"])
     return social, interest, planted

@@ -16,6 +16,8 @@ three-way emerging clique without breaking the G1/G2 pair rankings.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -101,41 +103,26 @@ def titles_for_era(era_n: int, era_idx: int, n_filler: int,
 
 def keyword_graphs(spark: SparkSession, n1: int, n2: int, n_filler: int,
                    seed: int = 11) -> tuple[DataFrame, DataFrame]:
-    """Build the two keyword-association graphs in Spark.
+    """Build the two keyword-association graphs.
 
+    The driver lists each title's keyword pairs, one (era, src, dst) row
+    per pair with src < dst; Spark counts each pair's titles per era.
     Returns canonical edge DataFrames (src, dst, weight) with string
     vertex ids; weight = 100 * co-occurrence fraction in the era.
     """
-    rows = []
+    cols: dict = {"era": [], "src": [], "dst": []}
     for era_idx, era_n in ((1, n1), (2, n2)):
-        tl = titles_for_era(era_n, era_idx, n_filler, seed=seed)
-        for doc, words in enumerate(tl):
-            for w in set(words):
-                rows.append((era_idx, doc, w))
-    df = spark.createDataFrame(
-        pd.DataFrame(rows, columns=["era", "doc", "word"])
-    )
-    a = df.alias("a")
-    b = df.alias("b")
-    pairs = (
-        a.join(
-            b,
-            (F.col("a.era") == F.col("b.era"))
-            & (F.col("a.doc") == F.col("b.doc"))
-            & (F.col("a.word") < F.col("b.word")),
-        )
-        .select(
-            F.col("a.era").alias("era"),
-            F.col("a.word").alias("src"),
-            F.col("b.word").alias("dst"),
-        )
-        .groupBy("era", "src", "dst")
-        .agg(F.count("*").alias("cnt"))
-    )
-    g1 = pairs.where(F.col("era") == 1).select(
-        "src", "dst", (F.lit(100.0) * F.col("cnt") / F.lit(float(n1))).alias("weight")
-    )
-    g2 = pairs.where(F.col("era") == 2).select(
-        "src", "dst", (F.lit(100.0) * F.col("cnt") / F.lit(float(n2))).alias("weight")
+        for words in titles_for_era(era_n, era_idx, n_filler, seed=seed):
+            for a, b in combinations(sorted(set(words)), 2):
+                cols["era"].append(era_idx)
+                cols["src"].append(a)
+                cols["dst"].append(b)
+    pairs = (spark.createDataFrame(pd.DataFrame(cols))
+             .groupBy("era", "src", "dst").agg(F.count("*").alias("cnt")))
+    g1, g2 = (
+        pairs.where(F.col("era") == era).select(
+            "src", "dst",
+            (F.lit(100.0) * F.col("cnt") / F.lit(float(n))).alias("weight"))
+        for era, n in ((1, n1), (2, n2))
     )
     return g1, g2

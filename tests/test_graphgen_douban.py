@@ -78,7 +78,8 @@ def test_interest_graph_oracle(spark, case):
     ratings_pdf = pd.DataFrame(ratings, columns=["user", "item"])
     out = douban.interest_graph(
         spark.createDataFrame(social_pdf),
-        spark.createDataFrame(ratings_pdf),
+        spark.createDataFrame(ratings_pdf.assign(
+            sz=ratings_pdf.groupby("user")["user"].transform("size"))),
         thr=thr,
     )
     assert sorted((r.src, r.dst) for r in out.collect()) == expected
@@ -113,6 +114,13 @@ def test_interest_graph_oracle(spark, case):
         e=social_pdf,
         t=pd.DataFrame({"thr": [thr]}),
     )
+
+
+def test_interest_graph_plan_has_no_window(spark):
+    """Rating counts come from the generator; Spark needs no Window."""
+    _, g2, _ = douban.douban_graphs(spark, "movie", n=1200, scale=0.3)
+    plan = g2._jdf.queryExecution().executedPlan().toString()
+    assert "Window" not in plan, plan
 
 
 def test_interest_clique_complete(spark, movie):

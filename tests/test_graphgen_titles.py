@@ -1,4 +1,5 @@
 """DM titles generator: corpus structure, Spark co-occurrence, calibration."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -57,25 +58,30 @@ def test_cooccurrence_weight_formula(spark, corpus, graphs):
 
 
 def test_cooccurrence_oracle(spark, graphs):
-    """The Spark pair-counting join checked against DuckDB on era 1."""
-    rows = []
-    for doc, words in enumerate(titles.titles_for_era(N1, 1, NF)):
-        for w in set(words):
-            rows.append((doc, w))
-    import pandas as pd
+    """The Spark grouped pair count checked against DuckDB on both eras."""
+    for era, n, g in ((1, N1, graphs[0]), (2, N2, graphs[1])):
+        docs = pd.DataFrame(
+            [(doc, w) for doc, words in
+             enumerate(titles.titles_for_era(n, era, NF)) for w in set(words)],
+            columns=["doc", "word"],
+        )
+        assert_equivalent(
+            g,
+            f"""
+            SELECT a.word AS src, b.word AS dst,
+                   100.0 * count(*) / {n} AS weight
+            FROM docs a JOIN docs b ON a.doc = b.doc AND a.word < b.word
+            GROUP BY 1, 2
+            """,
+            docs=docs,
+        )
 
-    docs = pd.DataFrame(rows, columns=["doc", "word"])
-    g1, _ = graphs
-    assert_equivalent(
-        g1,
-        f"""
-        SELECT a.word AS src, b.word AS dst,
-               100.0 * count(*) / {N1} AS weight
-        FROM docs a JOIN docs b ON a.doc = b.doc AND a.word < b.word
-        GROUP BY 1, 2
-        """,
-        docs=docs,
-    )
+
+def test_era_graph_plan_has_no_join(spark):
+    """Each title's pairs come from the generator; Spark only groups them."""
+    g1, _ = titles.keyword_graphs(spark, N1, N2, NF)
+    plan = g1._jdf.queryExecution().executedPlan().toString()
+    assert "Join" not in plan, plan
 
 
 def test_triple_topic_heavy_light_ratio(spark, graphs):
