@@ -50,8 +50,6 @@ def _support_level(x: dict, p: dict | DenseGradient) -> float:
 
     Equals f at a true local KKT point; biased when Shrink under-converged.
     """
-    if not x:
-        return 0.0
     return sum(p.get(u, 0.0) for u in x) / len(x)
 
 

@@ -11,16 +11,17 @@ base (:data:`_FAMILIES`): Emerging <-> Disappearing swaps G1 and G2
 :func:`spark_session`, returns a :class:`DCSDataset` whose ``edges`` is
 the canonical Spark difference graph and whose ``local`` property lazily
 collects a LocalGraph for the driver-side optimizers. Bases and datasets
-are cached per scale for the lifetime of the process: each base is
-checkpointed once, and a config's ``edges`` is its narrow transform of
-that base. ``scale`` is "test" (tiny, for unit tests) or "bench" (the
-EXPERIMENTS.md scale). Actor's base and the two DM keyword graphs are
-used as generated (already canonical); the other bases are differences.
+are memoised per (session, family[, config], scale) by
+:func:`functools.cache`: each base is checkpointed once, and a config's
+``edges`` is its narrow transform of that base. ``scale`` is "test"
+(tiny, for unit tests) or "bench" (the EXPERIMENTS.md scale). Actor's
+base and the two DM keyword graphs are used as generated (already
+canonical); the other bases are differences.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -138,8 +139,6 @@ _FAMILIES = {
 
 CONFIGS = {fam: list(cfgs) for fam, (_, cfgs) in _FAMILIES.items()}
 
-_CACHE: dict = {}
-
 
 def spark_session() -> SparkSession:
     """The SparkSession that builds the datasets: 64 shuffle partitions,
@@ -158,19 +157,19 @@ def spark_session() -> SparkSession:
     )
 
 
+@cache
+def _base(spark: SparkSession, family: str, scale: str) -> tuple:
+    """The family's checkpointed G_D with its (n, planted, labels)."""
+    gd, n, planted, labels = _FAMILIES[family][0](spark, scale)
+    return gd.localCheckpoint(eager=True), n, planted, labels
+
+
+@cache
 def get_dataset(spark: SparkSession, family: str, config: str,
                 scale: str) -> DCSDataset:
-    key = (family, config, scale)
-    if key not in _CACHE:
-        build, transforms = _FAMILIES[family]
-        if (family, scale) not in _CACHE:
-            gd, n, planted, labels = build(spark, scale)
-            _CACHE[family, scale] = (gd.localCheckpoint(eager=True), n,
-                                     planted, labels)
-        base, n, planted, labels = _CACHE[family, scale]
-        _CACHE[key] = DCSDataset(family, config, scale,
-                                 transforms[config](base), n, labels, planted)
-    return _CACHE[key]
+    base, n, planted, labels = _base(spark, family, scale)
+    return DCSDataset(family, config, scale,
+                      _FAMILIES[family][1][config](base), n, labels, planted)
 
 
 def all_configs():
@@ -178,6 +177,7 @@ def all_configs():
     return [(fam, cfg) for fam, cfgs in CONFIGS.items() for cfg in cfgs]
 
 
+@cache
 def dm_single_graphs(spark: SparkSession, scale: str
                      ) -> tuple[DCSDataset, DCSDataset]:
     """The two DM keyword graphs (Table VI); DM's G_D is their difference.
@@ -185,12 +185,8 @@ def dm_single_graphs(spark: SparkSession, scale: str
     Their ids are keyword strings and ``n`` is the vocabulary size; as
     for every dataset, ``local`` adds no isolated vertices.
     """
-    key = ("dm-single", scale)
-    if key not in _CACHE:
-        p = _SCALES[scale]["dm"]
-        n = len(titles.vocabulary(p["n_filler"]))
-        _CACHE[key] = tuple(
-            DCSDataset("dm", era, scale, g.localCheckpoint(eager=True), n)
-            for era, g in zip(("G1", "G2"),
-                              titles.keyword_graphs(spark, **p)))
-    return _CACHE[key]
+    p = _SCALES[scale]["dm"]
+    n = len(titles.vocabulary(p["n_filler"]))
+    return tuple(DCSDataset("dm", era, scale, g.localCheckpoint(eager=True), n)
+                 for era, g in zip(("G1", "G2"),
+                                   titles.keyword_graphs(spark, **p)))

@@ -9,7 +9,11 @@ from repro.core.cd import (
     solve_pair,
 )
 
-from tests.helpers import graph_from_triples, random_positive_graph
+from tests.helpers import (
+    graph_from_triples,
+    random_positive_graph,
+    with_store,
+)
 
 
 @pytest.fixture
@@ -43,6 +47,37 @@ def test_solve_pair_moves_to_better(tri):
     f0 = objective(x, p)
     solve_pair(tri, x, p, 1, 2)  # shift mass from 2 toward 1 (heavier edge)
     assert objective(x, p) >= f0 - 1e-12
+
+
+def _snapshot(p):
+    """The stored gradient entries of either store, for equality checks."""
+    return dict(p) if isinstance(p, dict) else p.vals.tolist()
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["dict", "dense"])
+def test_apply_delta_zero_is_noop(tri, dense):
+    g = with_store(tri, dense)
+    x, p = init_state(g, {0: 1.0})
+    before = _snapshot(p)
+    apply_delta(g, x, p, 1, 0.0)
+    assert x == {0: 1.0}
+    assert _snapshot(p) == before
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["dict", "dense"])
+@pytest.mark.parametrize("w02,w12,delta,x_after", [
+    (1.0, 3.0, -0.4, {1: 0.8, 2: 0.2}),  # b_0 < b_1: all mass to 1
+    (2.0, 2.0, 0.0, {0: 0.4, 1: 0.4, 2: 0.2}),  # b_0 = b_1: no move
+], ids=["bi-below-bj", "bi-equals-bj"])
+def test_solve_pair_zero_weight_cases(dense, w02, w12, delta, x_after):
+    """Non-adjacent i = 0, j = 1 with b_i = 0.2 w02, b_j = 0.2 w12."""
+    g = with_store(graph_from_triples([(0, 2, w02), (1, 2, w12)]), dense)
+    x, p = init_state(g, {0: 0.4, 1: 0.4, 2: 0.2})
+    assert solve_pair(g, x, p, 0, 1) == delta
+    assert x == x_after
+    _, p_ref = init_state(g, x_after)
+    for k in range(g.n):
+        assert p.get(k, 0.0) == pytest.approx(p_ref.get(k, 0.0))
 
 
 def test_solve_pair_zero_weight_transfers_all():

@@ -1,4 +1,6 @@
 """Dataset registry: configs, caching, driver graphs, Table II sanity."""
+import functools
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -33,9 +35,13 @@ def test_generator_runs_once_per_family(spark, monkeypatch, family, module,
     events = getattr(module, name)
     monkeypatch.setattr(module, name,
                         lambda *a, **k: calls.append(1) or events(*a, **k))
-    monkeypatch.setattr(datasets, "_CACHE", {})
+    # Fresh memos for this test only; cache_clear() would make later tests
+    # rebuild their datasets.
+    for fn in ("_base", "get_dataset"):
+        monkeypatch.setattr(datasets, fn, functools.cache(
+            getattr(datasets, fn).__wrapped__))
     for cfg in CONFIGS[family]:
-        get_dataset(spark, family, cfg, "test")
+        datasets.get_dataset(spark, family, cfg, "test")
     assert len(calls) == 1
 
 

@@ -96,6 +96,16 @@ def test_all_negative_graph():
     assert g.subgraph_weight(S) == 0.0
 
 
+def test_all_negative_rounding_falls_back_to_singleton():
+    """Once the last edge is peeled, the running total is -2.22e-16, not
+    0, so every prefix's density is negative and the no-positive-prefix
+    cleanup returns a singleton at density 0."""
+    g = graph_from_triples(
+        [(0, 1, -2.4), (0, 2, -0.4), (1, 2, -1.2), (1, 3, -1.5)])
+    assert greedy_peel(g) == ([0], 0.0)
+    assert greedy_peel_reference(g) == ([0], 0.0)
+
+
 def test_empty_vertex_set():
     g = graph_from_triples([], n=0)
     S, rho = greedy_peel(g)
